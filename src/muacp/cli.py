@@ -15,18 +15,21 @@ inputs, seeds, and outputs.  The manifest (and bench-codec's
 timing.json) contain wall-clock data; every other output file is a
 pure function of config and seed, byte for byte.
 
-The MUACP_TICK_MS environment variable sets how many milliseconds one
-simulation tick represents in reports (default 1.0).
+The MUACP_TICK_MS environment variable, when set, overrides the config's
+tick_ms: how many milliseconds one simulation tick represents in
+sim-scale reports (default 1.0).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__, compression, wire
 from .consensus import CampaignConfig, run_campaign
@@ -42,11 +45,22 @@ class UsageError(Exception):
     pass
 
 
-def _tick_ms() -> float:
+def _tick_ms(default: float) -> float:
+    """MUACP_TICK_MS if set, else `default`.  Anything but a finite
+    positive number of milliseconds is a usage error."""
+    raw = os.environ.get("MUACP_TICK_MS")
+    if raw is None:
+        return default
     try:
-        return float(os.environ.get("MUACP_TICK_MS", "1.0"))
+        value = float(raw)
     except ValueError:
-        return 1.0
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(
+            f"MUACP_TICK_MS must be a positive number of milliseconds, "
+            f"got {raw!r}"
+        )
+    return value
 
 
 def _load_json(path: str) -> dict:
@@ -273,6 +287,7 @@ def cmd_sim_consensus(args, argv) -> int:
 
 def cmd_sim_scale(args, argv) -> int:
     cfg = ScaleConfig.from_json(_load_json(args.config))
+    cfg = replace(cfg, tick_ms=_tick_ms(cfg.tick_ms))
     report, net = run_scale(cfg)
     summary = report.to_json()
     clean = summary["workload"]["clean"]

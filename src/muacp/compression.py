@@ -33,8 +33,6 @@ from fractions import Fraction
 
 from .wire import HEADER_SIZE, K_MAX, Message, Verb, decode
 
-HEADER_BITS = HEADER_SIZE * 8  # 64-bit header + count byte framing is
-                               # charged separately below
 #: Fixed per-message framing the theoretical encoder pays: the 64-bit
 #: header plus the option-count and payload-length fields (8 + 16 bits).
 FIXED_FRAMING_BITS = 88

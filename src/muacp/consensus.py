@@ -21,18 +21,22 @@ whenever a suspicion proves wrong.  A message a participant addresses
 to itself never touches the network: it is applied locally in the same
 tick, but still counts as one protocol message.
 
-Safety needs no synchrony: with any majority quorum, two different
-values can never both be chosen.  The exhaustive checker at the bottom
-verifies that claim over every delivery interleaving of a small
-two-proposer configuration, not just sampled schedules.
+The acceptor and proposer rules are written once, as transition
+functions that do no I/O (`step`, `start_attempt`).  `Participant`
+adapts them to the network, and the exhaustive checker at the bottom
+drives the same functions.  Safety needs no synchrony: with any
+majority quorum, two different values can never both be chosen.  The
+checker verifies that claim over every interleaving of deliveries and
+retries, up to two ballot rounds, in a small two-proposer
+configuration, not just sampled schedules.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import wire
 from .agent import Agent, Infeasible
@@ -237,13 +241,184 @@ def suspicion_bound(
     return crash_tick + delivery_bound + ping_interval + timeout + 1
 
 
-# -- participant -----------------------------------------------------------
+# -- consensus rules ---------------------------------------------------------
+#
+# The rules are plain functions (config, state, input) -> (state, sent)
+# that do no I/O.  `sent` lists every message the input caused, in send
+# order, as (receiver, Classified) pairs; messages a node addresses to
+# itself appear too, already applied.  `Participant` puts them on the
+# network and `exhaustive_interleaving_check` explores them.
 
 _IDLE, _PREPARING, _ACCEPTING = "idle", "preparing", "accepting"
 
+Sent = list[tuple[int, Classified]]
+
+
+@dataclass(frozen=True)
+class NodeConfig:
+    """What a node's rules read but never change."""
+
+    id: int
+    peers: tuple[int, ...]  # sorted, including id
+    value: bytes            # what this node proposes when free to choose
+    retry_timeout: int = 30
+    retry_backoff: int = 3
+
+    @property
+    def quorum(self) -> int:
+        return len(self.peers) // 2 + 1
+
+
+class NodeState(NamedTuple):
+    """Everything the rules read and write; hashable, so the exhaustive
+    checker can tell states apart."""
+
+    # acceptor
+    promised: Ballot | None = None
+    accepted: tuple[Ballot, bytes] | None = None
+    max_round_seen: int = 0
+    # proposer
+    phase: str = _IDLE
+    ballot: Ballot | None = None
+    proposal: bytes | None = None
+    # (sender, prior accepted pair) per promise, ordered by sender
+    promises: tuple[tuple[int, tuple[Ballot, bytes] | None], ...] = ()
+    acks: frozenset[int] = frozenset()
+    deadline: int | None = None
+    cooldown_until: int = 0
+    decided: bytes | None = None
+    decided_tick: int | None = None
+
+
+def acceptor_prepare(s: NodeState, b: Ballot) -> tuple[NodeState, Classified]:
+    s = s._replace(max_round_seen=max(s.max_round_seen, b.round))
+    if s.promised is None or b > s.promised:
+        reply = Classified("promise", ballot=b, prior=s.accepted)
+        return s._replace(promised=b), reply
+    return s, Classified("nack", ballot=s.promised)
+
+
+def acceptor_accept(
+    s: NodeState, b: Ballot, v: bytes
+) -> tuple[NodeState, Classified]:
+    s = s._replace(max_round_seen=max(s.max_round_seen, b.round))
+    if s.promised is None or b >= s.promised:
+        reply = Classified("accepted", ballot=b, value=v)
+        return s._replace(promised=b, accepted=(b, v)), reply
+    return s, Classified("nack", ballot=s.promised)
+
+
+def choose_value(
+    promises: tuple[tuple[int, tuple[Ballot, bytes] | None], ...],
+    own: bytes,
+) -> bytes:
+    """The value of the highest-ballot prior among the promises, else
+    the proposer's own (P2c in "Paxos Made Simple")."""
+    best: tuple[Ballot, bytes] | None = None
+    for _sender, pair in promises:
+        if pair is not None and (best is None or pair[0] > best[0]):
+            best = pair
+    return best[1] if best is not None else own
+
+
+def start_attempt(
+    cfg: NodeConfig, s: NodeState, now: int
+) -> tuple[NodeState, Sent]:
+    """Open a fresh ballot above every round seen and prepare it."""
+    ballot = Ballot(s.max_round_seen + 1, cfg.id)
+    s = s._replace(
+        max_round_seen=ballot.round, ballot=ballot, phase=_PREPARING,
+        promises=(), acks=frozenset(), deadline=now + cfg.retry_timeout,
+    )
+    prepare = Classified("prepare", ballot=ballot)
+    return _apply_local(cfg, s, [(p, prepare) for p in cfg.peers], now)
+
+
+def step(
+    cfg: NodeConfig, s: NodeState, sender: int, c: Classified, now: int
+) -> tuple[NodeState, Sent]:
+    """Apply one consensus message from `sender`."""
+    s, out = _rules(cfg, s, sender, c, now)
+    return _apply_local(cfg, s, out, now)
+
+
+def _apply_local(
+    cfg: NodeConfig, s: NodeState, out: Sent, now: int
+) -> tuple[NodeState, Sent]:
+    """A message a node addresses to itself never touches the network:
+    it is applied at once, depth first, so send order is kept."""
+    sent: Sent = []
+    for to, c in out:
+        sent.append((to, c))
+        if to == cfg.id:
+            s, more = step(cfg, s, cfg.id, c, now)
+            sent += more
+    return s, sent
+
+
+def _rules(
+    cfg: NodeConfig, s: NodeState, sender: int, c: Classified, now: int
+) -> tuple[NodeState, Sent]:
+    kind = c.kind
+    if kind == "prepare":
+        s, reply = acceptor_prepare(s, c.ballot)
+        return s, [(sender, reply)]
+    if kind == "accept":
+        s, reply = acceptor_accept(s, c.ballot, c.value)
+        return s, [(sender, reply)]
+    if kind == "promise":
+        if s.phase != _PREPARING or c.ballot != s.ballot:
+            return s, []
+        promises = tuple(sorted({**dict(s.promises), sender: c.prior}.items()))
+        if len(promises) < cfg.quorum:
+            return s._replace(promises=promises), []
+        proposal = choose_value(promises, cfg.value)
+        s = s._replace(
+            promises=promises, phase=_ACCEPTING, proposal=proposal,
+            deadline=now + cfg.retry_timeout,
+        )
+        accept = Classified("accept", ballot=s.ballot, value=proposal)
+        return s, [(p, accept) for p in cfg.peers]
+    if kind == "accepted":
+        if s.phase != _ACCEPTING or c.ballot != s.ballot:
+            return s, []
+        s = s._replace(acks=s.acks | {sender})
+        if len(s.acks) < cfg.quorum:
+            return s, []
+        return _decide(cfg, s, s.proposal, now)
+    if kind == "nack":
+        s = s._replace(max_round_seen=max(s.max_round_seen, c.ballot.round))
+        if s.phase == _IDLE:
+            return s, []
+        # Deterministic per-id backoff so dueling proposers
+        # desynchronize instead of nacking each other forever.
+        backoff = cfg.retry_backoff + cfg.id % (cfg.retry_backoff + 1)
+        return s._replace(phase=_IDLE, cooldown_until=now + backoff), []
+    if kind == "decide":
+        return _decide(cfg, s, c.value, now)
+    return s, []
+
+
+def _decide(
+    cfg: NodeConfig, s: NodeState, v: bytes, now: int
+) -> tuple[NodeState, Sent]:
+    if s.decided is not None:
+        return s, []
+    s = s._replace(decided=v, decided_tick=now, phase=_IDLE)
+    decide = Classified("decide", value=v)
+    return s, [(p, decide) for p in cfg.peers if p != cfg.id]
+
+
+# -- participant -------------------------------------------------------------
+
 
 class Participant(BasicNode):
-    """One consensus node: always an acceptor, optionally a proposer."""
+    """One consensus node: always an acceptor, optionally a proposer.
+
+    An adapter onto the network: it classifies inbound messages, feeds
+    them to the rules above, builds and emits what they send, counts
+    every logical message, and runs the failure detector that decides
+    who leads."""
 
     def __init__(
         self,
@@ -260,36 +435,20 @@ class Participant(BasicNode):
         fd_timeout_cap: int = 200,
     ):
         super().__init__(agent)
-        self.peers = sorted(peers)
-        self.others = [p for p in self.peers if p != self.id]
+        self.config = NodeConfig(
+            id=self.id,
+            peers=tuple(sorted(peers)),
+            value=value if value is not None else f"v{self.id}".encode(),
+            retry_timeout=retry_timeout,
+            retry_backoff=retry_backoff,
+        )
+        self.state = NodeState()
         self.proposer_ids = sorted(proposer_ids)
         self.is_proposer = self.id in self.proposer_ids
-        self.quorum = len(self.peers) // 2 + 1
         self.instance = instance
-        self.value = value if value is not None else f"v{self.id}".encode()
-        self.retry_timeout = retry_timeout
-        self.retry_backoff = retry_backoff
-
-        # acceptor state
-        self.promised: Ballot | None = None
-        self.accepted: tuple[Ballot, bytes] | None = None
-
-        # proposer state
-        self.phase = _IDLE
-        self.current_ballot: Ballot | None = None
-        self.proposal: bytes = self.value
-        self.promises: dict[int, tuple[Ballot, bytes] | None] = {}
-        self.accept_acks: set[int] = set()
-        self.attempt_deadline: int | None = None
-        self.cooldown_until = 0
-        self.max_round_seen = 0
-
-        self.decided: bytes | None = None
-        self.decided_tick: int | None = None
         self.counts: Counter = Counter()
-
         self.fd = FailureDetector(
-            self.others,
+            [p for p in self.config.peers if p != self.id],
             ping_interval=ping_interval,
             timeout=fd_timeout,
             timeout_cap=fd_timeout_cap,
@@ -304,16 +463,18 @@ class Participant(BasicNode):
             ping = self.agent.make_ping(cid=cid)
             if self.emit(net, peer, ping, now):
                 self.fd.note_ping(peer, cid, now)
-        if self.decided is not None or not self.is_proposer:
+        s = self.state
+        if s.decided is not None or not self.is_proposer:
             return
+        expired = s.deadline is not None and now >= s.deadline
         if self._leader() != self.id:
-            if self.phase != _IDLE and self._expired(now):
-                self.phase = _IDLE
+            if s.phase != _IDLE and expired:
+                self.state = s._replace(phase=_IDLE)
             return
-        if (self.phase == _IDLE and now >= self.cooldown_until) or (
-            self.phase != _IDLE and self._expired(now)
+        if (s.phase == _IDLE and now >= s.cooldown_until) or (
+            s.phase != _IDLE and expired
         ):
-            self._start_attempt(net, now)
+            self._send(net, now, *start_attempt(self.config, s, now))
 
     def on_deliver(self, net: Network, label, now: int) -> None:
         msg = label.message
@@ -329,11 +490,12 @@ class Participant(BasicNode):
             self.emit(net, to, m, now)
         c = classify(msg)
         if c is not None:
-            self._consume(c, label.sender, now, net)
+            self._send(
+                net, now,
+                *step(self.config, self.state, label.sender, c, now),
+            )
         elif msg.header.verb == Verb.PING and msg.header.is_response:
             self.fd.on_pong(label.sender, now)
-
-    # -- proposer ------------------------------------------------------
 
     def _leader(self) -> int:
         live = [
@@ -343,168 +505,39 @@ class Participant(BasicNode):
         ]
         return live[0] if live else self.id
 
-    def _expired(self, now: int) -> bool:
-        return self.attempt_deadline is not None and now >= self.attempt_deadline
-
-    def _start_attempt(self, net: Network, now: int) -> None:
-        self.max_round_seen += 1
-        ballot = Ballot(self.max_round_seen, self.id)
-        self.current_ballot = ballot
-        self.phase = _PREPARING
-        self.promises = {}
-        self.accept_acks = set()
-        self.attempt_deadline = now + self.retry_timeout
-        for peer in self.peers:
-            self.counts["prepare"] += 1
-            if peer == self.id:
-                # local short-circuit still counts as one logical exchange
-                reply = self._acceptor_prepare(ballot)
-                self.counts[reply.kind] += 1
-                self._consume(reply, self.id, now, net)
-            else:
-                msg = self.agent.build(
-                    Verb.ASK,
-                    options=(
-                        opt_ballot(ballot),
-                        wire.opt_conv(self.instance),
-                    ),
-                )
-                self.emit(net, peer, msg, now)
-
-    def _choose_value(self) -> bytes:
-        best: tuple[Ballot, bytes] | None = None
-        for pair in self.promises.values():
-            if pair is not None and (best is None or pair[0] > best[0]):
-                best = pair
-        return best[1] if best is not None else self.value
-
-    def _begin_accept(self, net: Network, now: int) -> None:
-        ballot = self.current_ballot
-        self.phase = _ACCEPTING
-        self.proposal = self._choose_value()
-        self.attempt_deadline = now + self.retry_timeout
-        for peer in self.peers:
-            self.counts["accept"] += 1
-            if peer == self.id:
-                reply = self._acceptor_accept(ballot, self.proposal)
-                self.counts[reply.kind] += 1
-                self._consume(reply, self.id, now, net)
-            else:
-                msg = self.agent.build(
-                    Verb.TELL,
-                    options=(
-                        opt_ballot(ballot),
-                        opt_value(self.proposal),
-                        wire.opt_conv(self.instance),
-                    ),
-                )
-                self.emit(net, peer, msg, now)
-
-    # -- acceptor (pure state transitions, reused by the local path) ----
-
-    def _acceptor_prepare(self, b: Ballot) -> Classified:
-        self.max_round_seen = max(self.max_round_seen, b.round)
-        if self.promised is None or b > self.promised:
-            self.promised = b
-            if self.accepted is not None:
-                return Classified("promise", ballot=b, prior=self.accepted)
-            return Classified("promise", ballot=b)
-        return Classified("nack", ballot=self.promised)
-
-    def _acceptor_accept(self, b: Ballot, v: bytes) -> Classified:
-        self.max_round_seen = max(self.max_round_seen, b.round)
-        if self.promised is None or b >= self.promised:
-            self.promised = b
-            self.accepted = (b, v)
-            return Classified("accepted", ballot=b, value=v)
-        return Classified("nack", ballot=self.promised)
-
-    # -- message handling ------------------------------------------------
-
-    def _consume(
-        self, c: Classified, sender: int, now: int, net: Network
+    def _send(
+        self, net: Network, now: int, state: NodeState, sent: Sent
     ) -> None:
-        kind = c.kind
-        if kind == "prepare":
-            reply = self._acceptor_prepare(c.ballot)
-            self._reply(net, sender, reply, c, now)
-            return
-        if kind == "accept":
-            reply = self._acceptor_accept(c.ballot, c.value)
-            self._reply(net, sender, reply, c, now)
-            return
-        if kind == "promise":
-            if self.phase == _PREPARING and c.ballot == self.current_ballot:
-                self.promises[sender] = c.prior
-                if len(self.promises) >= self.quorum:
-                    self._begin_accept(net, now)
-            return
-        if kind == "accepted":
-            if self.phase == _ACCEPTING and c.ballot == self.current_ballot:
-                self.accept_acks.add(sender)
-                if len(self.accept_acks) >= self.quorum:
-                    self._decide(self.proposal, now, net)
-            return
-        if kind == "nack":
-            self.max_round_seen = max(self.max_round_seen, c.ballot.round)
-            if self.phase != _IDLE:
-                self.phase = _IDLE
-                # Deterministic per-id backoff so dueling proposers
-                # desynchronize instead of nacking each other forever.
-                self.cooldown_until = now + self.retry_backoff + (
-                    self.id % (self.retry_backoff + 1)
-                )
-            return
-        if kind == "decide":
-            self._decide(c.value, now, net)
-            return
+        """Adopt the rules' new state, count every message they sent and
+        emit the ones addressed to other nodes."""
+        self.state = state
+        for to, c in sent:
+            self.counts[c.kind] += 1
+            if to != self.id:
+                self.emit(net, to, self._build(c), now)
 
-    def _reply(
-        self, net: Network, to: int, reply: Classified, cause: Classified,
-        now: int,
-    ) -> None:
-        """Send an acceptor verdict back; local causes are consumed
-        directly (the network never carries self-messages)."""
-        self.counts[reply.kind] += 1
-        if to == self.id:
-            self._consume(reply, self.id, now, net)
-            return
-        if reply.kind == "promise":
-            opts: list[Option] = [opt_ballot(reply.ballot)]
-            if reply.prior is not None:
-                opts.append(opt_ballot(reply.prior[0]))
-                opts.append(opt_value(reply.prior[1]))
-            msg = self.agent.build(
+    def _build(self, c: Classified) -> Message:
+        """The wire form of one consensus message (table at the top)."""
+        if c.kind == "nack":
+            return self.agent.build(
+                Verb.TELL, options=(wire.opt_err(c.ballot.encode()),),
+                flags=FLAG_RESPONSE,
+            )
+        opts = [opt_ballot(c.ballot)] if c.ballot is not None else []
+        if c.prior is not None:
+            opts += (opt_ballot(c.prior[0]), opt_value(c.prior[1]))
+        if c.value is not None:
+            opts.append(opt_value(c.value))
+        if c.kind in ("promise", "accepted"):
+            return self.agent.build(
                 Verb.TELL, options=tuple(opts), flags=FLAG_RESPONSE
             )
-        elif reply.kind == "accepted":
-            msg = self.agent.build(
-                Verb.TELL,
-                options=(opt_ballot(reply.ballot), opt_value(reply.value)),
-                flags=FLAG_RESPONSE,
-            )
-        else:  # nack
-            msg = self.agent.build(
-                Verb.TELL,
-                options=(wire.opt_err(reply.ballot.encode()),),
-                flags=FLAG_RESPONSE,
-            )
-        self.emit(net, to, msg, now)
-
-    def _decide(self, v: bytes, now: int, net: Network) -> None:
-        if self.decided is not None:
-            return
-        self.decided = v
-        self.decided_tick = now
-        self.phase = _IDLE
-        for peer in self.others:
-            self.counts["decide"] += 1
-            msg = self.agent.build(
-                Verb.TELL,
-                options=(opt_value(v), wire.opt_conv(self.instance)),
-                qos=1,
-            )
-            self.emit(net, peer, msg, now)
+        opts.append(wire.opt_conv(self.instance))
+        return self.agent.build(
+            Verb.ASK if c.kind == "prepare" else Verb.TELL,
+            options=tuple(opts),
+            qos=1 if c.kind == "decide" else 0,
+        )
 
 
 # -- seeded runs -------------------------------------------------------------
@@ -626,7 +659,7 @@ def run_decree(config: DecreeConfig) -> DecreeOutcome:
     while net.now < config.until:
         net.step()
         if all(
-            p.decided is not None
+            p.state.decided is not None
             for p in participants
             if p.id not in net.crashed
         ):
@@ -634,21 +667,14 @@ def run_decree(config: DecreeConfig) -> DecreeOutcome:
     counts: Counter = Counter()
     for p in participants:
         counts.update(p.counts)
+    done = [p for p in participants if p.state.decided is not None]
     return DecreeOutcome(
         config=config,
-        decided={
-            p.id: p.decided for p in participants if p.decided is not None
-        },
-        decided_tick={
-            p.id: p.decided_tick
-            for p in participants
-            if p.decided_tick is not None
-        },
+        decided={p.id: p.state.decided for p in done},
+        decided_tick={p.id: p.state.decided_tick for p in done},
         crashed=set(net.crashed),
         counts=counts,
-        proposed={
-            participants[pid].value for pid in proposer_ids
-        },
+        proposed={participants[pid].config.value for pid in proposer_ids},
         suspicions={p.id: list(p.fd.history) for p in participants},
         ticks=net.now,
         log=net.log,
@@ -757,14 +783,8 @@ def run_campaign(
         schedule = derive_fault_schedule(
             seed, cfg.base.n, cfg.crash_count, cfg.crash_window
         )
-        sim = SimConfig.from_json(
-            {**cfg.base.sim.to_json(), "seed": seed,
-             "fault_schedule": [list(x) for x in schedule]}
-        )
-        config = DecreeConfig.from_json(
-            {**cfg.base.to_json(), "sim": sim.to_json()}
-        )
-        outcome = run_decree(config)
+        sim = replace(cfg.base.sim, seed=seed, fault_schedule=schedule)
+        outcome = run_decree(replace(cfg.base, sim=sim))
         runs.append(CampaignRun(seed=seed, outcome=outcome))
         if collect_corpus:
             for blob in outcome.log.sent_messages():
@@ -773,6 +793,10 @@ def run_campaign(
 
 
 # -- exhaustive interleaving safety check ------------------------------------
+
+#: Highest ballot round the exhaustive check lets a proposer open: round
+#: 2 is where a nacked proposer retries and must adopt accepted values.
+EXPLORE_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -791,148 +815,101 @@ def exhaustive_interleaving_check(
     proposer_values: tuple[bytes, ...] = (b"x", b"y"),
     max_deliveries: int = 14,
 ) -> ExhaustiveReport:
-    """Explore every delivery ordering of a multi-proposer decree up to
-    a bounded number of deliveries and assert no two nodes ever decide
+    """Explore every interleaving of a multi-proposer decree up to a
+    bounded number of steps and assert no two nodes ever decide
     different values.
+
+    Nodes 0 .. len(proposer_values)-1 propose.  A state is every node's
+    `NodeState` plus the multiset of messages in flight, and it moves by
+    the rules `Participant` runs.  One step either delivers any message
+    in flight (`step`) or fires the timer of an idle, undecided proposer
+    that has seen fewer than EXPLORE_ROUNDS rounds (`start_attempt`, the
+    restart branch of `Participant.on_tick`).  Time stays at tick 0: no
+    rule needs it for safety.  Every node starts fresh.
 
     Message loss needs no separate branching: a lost message is one
     that is simply never delivered, and every such schedule is a prefix
-    of an explored one.  The model mirrors the live implementation:
-    acceptor rules are identical and self-messages apply immediately.
+    of an explored one.  For the same reason a delivery that changes
+    nothing and sends nothing is not explored.
     """
-    quorum = n // 2 + 1
-    proposers = tuple(range(len(proposer_values)))
+    peers = tuple(range(n))
+    configs = [
+        NodeConfig(i, peers, proposer_values[i] if i < len(proposer_values)
+                   else f"v{i}".encode())
+        for i in peers
+    ]
+    # Node states and (sender, receiver, message) triples are interned as
+    # ints; the rules are pure, so each (node, state, event) move is
+    # computed once.
+    ids: dict = {}
+    objs: list = []
+    moves: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
 
-    # proposer state: (phase, promise-senders, best prior, acks, decided)
-    # acceptor state: (promised, accepted-pair)
-    def init():
-        acceptors = tuple((None, None) for _ in range(n))
-        props = []
-        msgs: Counter = Counter()
-        for p in proposers:
-            ballot = (1, p)
-            acceptors, reply = _model_prepare(acceptors, p, ballot)
-            promises = frozenset()
-            prior = None
-            if reply[0] == "promise":
-                promises = frozenset({p})
-                prior = reply[1]
-            props.append(("preparing", promises, prior, frozenset(), None))
-            for a in range(n):
-                if a != p:
-                    msgs[("prepare", p, a, ballot)] += 1
-        return acceptors, tuple(props), msgs
+    def intern(x) -> int:
+        if x not in ids:
+            ids[x] = len(objs)
+            objs.append(x)
+        return ids[x]
 
-    def _model_prepare(acceptors, a, ballot):
-        promised, accepted = acceptors[a]
-        if promised is None or ballot > promised:
-            acc = list(acceptors)
-            acc[a] = (ballot, accepted)
-            return tuple(acc), ("promise", accepted)
-        return acceptors, ("nack",)
-
-    def _model_accept(acceptors, a, ballot, value):
-        promised, accepted = acceptors[a]
-        if promised is None or ballot >= promised:
-            acc = list(acceptors)
-            acc[a] = (ballot, (ballot, value))
-            return tuple(acc), True
-        return acceptors, False
-
-    def _freeze(msgs: Counter):
-        return tuple(sorted(msgs.items()))
+    def move(i: int, sid: int, mid: int) -> tuple[int, tuple[int, ...]]:
+        """Node i in state sid takes message mid, or fires its timer
+        (mid < 0)."""
+        if (i, sid, mid) not in moves:
+            if mid < 0:
+                s, sent = start_attempt(configs[i], objs[sid], 0)
+            else:
+                sender, _, c = objs[mid]
+                s, sent = step(configs[i], objs[sid], sender, c, 0)
+            moves[i, sid, mid] = intern(s), tuple(
+                intern((i, to, c)) for to, c in sent if to != i
+            )
+        return moves[i, sid, mid]
 
     violations: list[str] = []
     seen: set = set()
-    start = init()
     # Breadth-first so each state is first visited at its minimal
-    # delivery depth; exploring from there subsumes any deeper revisit,
-    # which makes the seen-set pruning sound under the depth cap.
-    queue = deque([(start[0], start[1], _freeze(start[2]), 0)])
-    explored = 0
-
+    # depth; exploring from there subsumes any deeper revisit, which
+    # makes the seen-set pruning sound under the depth cap.
+    queue = deque([((intern(NodeState()),) * n, (), 0)])
     while queue:
-        acceptors, props, msgs_frozen, depth = queue.popleft()
-        key = (acceptors, props, msgs_frozen)
-        if key in seen:
+        nodes, inflight, depth = queue.popleft()
+        if (nodes, inflight) in seen:
             continue
-        seen.add(key)
-        explored += 1
+        seen.add((nodes, inflight))
+        states = [objs[sid] for sid in nodes]
 
-        decided_vals = {st[4] for st in props if st[4] is not None}
-        if len(decided_vals) > 1:
+        decided = {s.decided for s in states} - {None}
+        if len(decided) > 1:
             violations.append(
-                f"divergent decisions {sorted(decided_vals)} after "
-                f"{depth} deliveries"
+                f"divergent decisions {sorted(decided)} after "
+                f"{depth} steps"
             )
             continue
         if depth >= max_deliveries:
             continue
-
-        msgs = Counter(dict(msgs_frozen))
-        for m in sorted(msgs):
-            new_acc, new_props, new_msgs = acceptors, list(props), msgs.copy()
-            new_msgs[m] -= 1
-            if new_msgs[m] == 0:
-                del new_msgs[m]
-            kind = m[0]
-            if kind == "prepare":
-                _, p, a, ballot = m
-                new_acc, reply = _model_prepare(new_acc, a, ballot)
-                if reply[0] == "promise":
-                    new_msgs[("promise", a, p, ballot, reply[1])] += 1
-            elif kind == "promise":
-                _, a, p, ballot, prior = m
-                phase, promises, best, acks, decided = new_props[p]
-                if phase == "preparing" and ballot == (1, p):
-                    promises = promises | {a}
-                    if prior is not None and (
-                        best is None or prior[0] > best[0]
-                    ):
-                        best = prior
-                    if len(promises) >= quorum:
-                        value = (
-                            best[1] if best is not None
-                            else proposer_values[p]
-                        )
-                        phase = "accepting"
-                        # self-accept applies immediately
-                        new_acc, ok = _model_accept(
-                            new_acc, p, ballot, value
-                        )
-                        if ok:
-                            acks = frozenset({p})
-                        for a2 in range(n):
-                            if a2 != p:
-                                new_msgs[
-                                    ("accept", p, a2, ballot, value)
-                                ] += 1
-                        new_props[p] = (phase, promises, best, acks, decided)
-                        if len(acks) >= quorum:
-                            new_props[p] = (
-                                phase, promises, best, acks, value,
-                            )
-                    else:
-                        new_props[p] = (phase, promises, best, acks, decided)
-            elif kind == "accept":
-                _, p, a, ballot, value = m
-                new_acc, ok = _model_accept(new_acc, a, ballot, value)
-                if ok:
-                    new_msgs[("accepted", a, p, ballot, value)] += 1
-            elif kind == "accepted":
-                _, a, p, ballot, value = m
-                phase, promises, best, acks, decided = new_props[p]
-                if phase == "accepting" and ballot == (1, p):
-                    acks = acks | {a}
-                    if len(acks) >= quorum and decided is None:
-                        decided = value
-                    new_props[p] = (phase, promises, best, acks, decided)
-            queue.append(
-                (new_acc, tuple(new_props), _freeze(new_msgs), depth + 1)
-            )
+        events = [
+            (i, -1, inflight)
+            for i, s in enumerate(states[:len(proposer_values)])
+            if s.decided is None and s.phase == _IDLE
+            and s.max_round_seen < EXPLORE_ROUNDS
+        ]
+        for k, mid in enumerate(inflight):
+            if k == 0 or inflight[k - 1] != mid:
+                events.append(
+                    (objs[mid][1], mid, inflight[:k] + inflight[k + 1:])
+                )
+        for i, mid, rest in events:
+            sid, sent = move(i, nodes[i], mid)
+            if sid == nodes[i] and not sent:
+                continue
+            queue.append((
+                nodes[:i] + (sid,) + nodes[i + 1:],
+                tuple(sorted(rest + sent)),
+                depth + 1,
+            ))
 
     return ExhaustiveReport(
-        explored_states=explored,
+        explored_states=len(seen),
         delivered_bound=max_deliveries,
-        violations=tuple(violations),
+        violations=tuple(sorted(violations)),
     )

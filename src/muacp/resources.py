@@ -13,7 +13,6 @@ refunds the same amount.  Bandwidth, cpu, and energy are cumulative.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -93,12 +92,6 @@ class ResourceVector:
             self.bandwidth - other.bandwidth,
             self.cpu - other.cpu,
             self.energy - other.energy,
-        )
-
-    def scale(self, k: Rational) -> "ResourceVector":
-        k = _frac(k)
-        return ResourceVector(
-            self.memory * k, self.bandwidth * k, self.cpu * k, self.energy * k
         )
 
     def __le__(self, other: "ResourceVector") -> bool:
@@ -347,8 +340,3 @@ def cumulative_bound_check(
         peak_rate=peak_rate,
         violations=tuple(violations),
     )
-
-
-def load_cost_model(path: str) -> CostModel:
-    with open(path, "r", encoding="utf-8") as fp:
-        return CostModel.from_json(json.load(fp))

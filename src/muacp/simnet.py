@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 from .agent import Agent, Infeasible, TransitionLabel
 from .wire import Message, encode
@@ -162,11 +163,15 @@ class TickGauge:
 
 
 def _percentile(sorted_values: list[int], q: float) -> float:
-    """Nearest-rank percentile; deterministic and exact on small data."""
+    """Nearest-rank percentile: the value at 1-based rank ceil(q * n),
+    clamped to 1..n (Hyndman and Fan 1996, definition 1).  The rank is
+    computed in integers from the decimal q denotes (0.99 is 99/100), so
+    float rounding never moves it."""
     if not sorted_values:
         return float("nan")
     n = len(sorted_values)
-    rank = max(1, min(n, -(-int(q * n * 100) // 100)))  # ceil(q*n), clamped
+    num, den = Fraction(repr(q)).as_integer_ratio()
+    rank = max(1, min(n, -(-num * n // den)))
     return float(sorted_values[rank - 1])
 
 

@@ -114,7 +114,7 @@ def test_validate_vectors_and_sidecar_mismatch(tmp_path):
     assert main(["validate", str(v)]) == 1
 
 
-def test_sim_scale_smoke(tmp_path):
+def small_scale_config(tmp_path: Path) -> Path:
     cfg = json.loads((ROOT / "configs" / "scale_n100.json").read_text())
     cfg["n"] = 12
     cfg["cnet_initiators"] = 2
@@ -122,6 +122,11 @@ def test_sim_scale_smoke(tmp_path):
     cfg["until"] = 500
     p = tmp_path / "s.json"
     p.write_text(json.dumps(cfg))
+    return p
+
+
+def test_sim_scale_smoke(tmp_path):
+    p = small_scale_config(tmp_path)
     out = tmp_path / "scale"
     assert main(["sim-scale", "--config", str(p), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
@@ -130,6 +135,29 @@ def test_sim_scale_smoke(tmp_path):
     assert report["infeasible_events"] == 0
     gauges = (out / "gauges.csv").read_text().splitlines()
     assert gauges[0] == "tick,in_flight_msgs,max_backlog_msgs,sent_msgs,delivered_msgs,dropped_msgs"
+
+
+@pytest.mark.parametrize(
+    "raw", ["junk", "", "nan", "inf", "-inf", "0", "-0.5", "1e999"]
+)
+def test_bad_tick_ms_is_a_usage_error(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("MUACP_TICK_MS", raw)
+    rc = main(["sim-scale", "--config", str(small_scale_config(tmp_path)),
+               "--out", str(tmp_path / "scale")])
+    assert rc == 2
+    assert "MUACP_TICK_MS" in capsys.readouterr().err
+    assert not (tmp_path / "scale").exists()
+
+
+def test_tick_ms_scales_reported_latencies(tmp_path, monkeypatch):
+    monkeypatch.setenv("MUACP_TICK_MS", "2.5")
+    out = tmp_path / "scale"
+    assert main(["sim-scale", "--config", str(small_scale_config(tmp_path)),
+                 "--out", str(out)]) == 0
+    metrics = json.loads((out / "report.json").read_text())["metrics"]
+    assert metrics["tick_ms"] == 2.5
+    lat, lat_ms = metrics["latency_ticks"], metrics["latency_ms"]
+    assert lat_ms["p99"] == lat["p99"] * 2.5
 
 
 def _run_cli(args, out: Path, hashseed: str):

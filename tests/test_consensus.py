@@ -4,13 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from muacp import wire
+from muacp import consensus, wire
 from muacp.consensus import (
     Ballot,
     CampaignConfig,
+    Classified,
     DecreeConfig,
     FailureDetector,
-    Participant,
+    NodeConfig,
+    NodeState,
+    acceptor_accept,
+    acceptor_prepare,
+    choose_value,
     classify,
     derive_fault_schedule,
     exhaustive_interleaving_check,
@@ -18,6 +23,8 @@ from muacp.consensus import (
     opt_value,
     run_campaign,
     run_decree,
+    start_attempt,
+    step,
     suspicion_bound,
 )
 from muacp.simnet import Network, SimConfig
@@ -136,49 +143,60 @@ def test_shapes_pairwise_distinct():
                      "nack", "accept", "decide"]
 
 
-# -- acceptor rules ------------------------------------------------------------
-
-
-def participant(pid=0, n=3):
-    from muacp.agent import Agent
-
-    return Participant(Agent(pid), list(range(n)), list(range(n)))
+# -- acceptor and proposer rules ----------------------------------------------
 
 
 def test_acceptor_promises_monotonically():
-    p = participant()
-    r1 = p._acceptor_prepare(B1)
+    s = NodeState()
+    s, r1 = acceptor_prepare(s, B1)
     assert (r1.kind, r1.ballot, r1.prior) == ("promise", B1, None)
-    r2 = p._acceptor_prepare(B2)
+    s, r2 = acceptor_prepare(s, B2)
     assert r2.kind == "promise"
-    low = p._acceptor_prepare(B1)
+    s, low = acceptor_prepare(s, B1)
     assert (low.kind, low.ballot) == ("nack", B2)
 
 
 def test_acceptor_accept_respects_promise():
-    p = participant()
-    p._acceptor_prepare(B2)
-    nack = p._acceptor_accept(B1, b"v")
+    s, _ = acceptor_prepare(NodeState(), B2)
+    s, nack = acceptor_accept(s, B1, b"v")
     assert nack.kind == "nack"
-    ok = p._acceptor_accept(B2, b"v")
+    s, ok = acceptor_accept(s, B2, b"v")
     assert (ok.kind, ok.value) == ("accepted", b"v")
-    assert p.accepted == (B2, b"v")
+    assert s.accepted == (B2, b"v")
 
 
 def test_promise_carries_prior_accepted_value():
-    p = participant()
-    p._acceptor_prepare(B1)
-    p._acceptor_accept(B1, b"old")
-    r = p._acceptor_prepare(B2)
+    s, _ = acceptor_prepare(NodeState(), B1)
+    s, _ = acceptor_accept(s, B1, b"old")
+    s, r = acceptor_prepare(s, B2)
     assert r.prior == (B1, b"old")
 
 
 def test_proposer_adopts_highest_prior():
-    p = participant()
-    p.promises = {0: None, 1: (B1, b"low"), 2: (B2, b"high")}
-    assert p._choose_value() == b"high"
-    p.promises = {0: None, 1: None}
-    assert p._choose_value() == p.value
+    promises = ((0, None), (1, (B1, b"low")), (2, (B2, b"high")))
+    assert choose_value(promises, b"own") == b"high"
+    assert choose_value(((0, None), (1, None)), b"own") == b"own"
+
+
+def test_self_addressed_messages_apply_at_once_in_send_order():
+    # n=1: the node's own promise and accepted form each quorum, so one
+    # attempt runs to a decision without touching the network.
+    cfg = NodeConfig(id=0, peers=(0,), value=b"v")
+    s, sent = start_attempt(cfg, NodeState(), now=5)
+    assert [(to, c.kind) for to, c in sent] == [
+        (0, "prepare"), (0, "promise"), (0, "accept"), (0, "accepted"),
+    ]
+    assert (s.decided, s.decided_tick, s.accepted) == (b"v", 5, (B1, b"v"))
+
+
+def test_nack_backs_off_by_proposer_id():
+    cfg = NodeConfig(id=2, peers=(0, 1, 2), value=b"v", retry_backoff=3)
+    s, _ = start_attempt(cfg, NodeState(), now=0)
+    s, sent = step(cfg, s, 1, Classified("nack", ballot=Ballot(4, 1)), 10)
+    assert sent == []
+    assert (s.phase, s.max_round_seen, s.cooldown_until) == ("idle", 4, 15)
+    s, _ = start_attempt(cfg, s, now=15)
+    assert s.ballot == Ballot(5, 2)
 
 
 # -- decree runs ----------------------------------------------------------------
@@ -332,3 +350,31 @@ def test_exhaustive_check_smaller_bound_subset():
     full = exhaustive_interleaving_check(max_deliveries=14)
     assert small.ok and full.ok
     assert small.explored_states <= full.explored_states
+
+
+def test_exhaustive_check_explores_round_two_ballots(monkeypatch):
+    opened = []
+
+    def recording_start(cfg, s, now):
+        s, sent = start_attempt(cfg, s, now)
+        opened.append(s.ballot)
+        return s, sent
+
+    monkeypatch.setattr(consensus, "start_attempt", recording_start)
+    assert exhaustive_interleaving_check(max_deliveries=14).ok
+    assert {b.round for b in opened} == {1, 2}
+    assert {b.proposer for b in opened if b.round == 2} == {0, 1}
+
+
+def test_exhaustive_check_runs_the_live_acceptor_rule(monkeypatch):
+    # An acceptor that promises every ballot, even below its promise,
+    # lets two proposers each gather a quorum for their own value.
+    def always_promise(s, b):
+        return s._replace(promised=b), Classified(
+            "promise", ballot=b, prior=s.accepted
+        )
+
+    monkeypatch.setattr(consensus, "acceptor_prepare", always_promise)
+    rep = exhaustive_interleaving_check(max_deliveries=14)
+    assert not rep.ok
+    assert rep.violations[0].startswith("divergent decisions [b'x', b'y']")

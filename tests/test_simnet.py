@@ -251,6 +251,12 @@ def test_percentile_nearest_rank():
     assert _percentile(vals, 0.75) == 30
     assert _percentile(vals, 0.99) == 40
     assert _percentile([5], 0.5) == 5
+    # oracle: rank ceil(pct * n / 100) in integers; n = 2099 is the first
+    # size where a truncated float product puts p99 one rank low
+    assert _percentile(range(2099), 0.99) == 2078
+    for n in range(1, 100_001):
+        for q, pct in ((0.50, 50), (0.95, 95), (0.99, 99)):
+            assert _percentile(range(n), q) == -(-pct * n // 100) - 1, (n, q)
 
 
 def test_metrics_summary_shape():
