@@ -8,7 +8,7 @@
     muacp validate       VECTOR.hex ...
 
 Exit codes: 0 success, 1 a check or simulation found a violation,
-2 unusable input (missing file, malformed config).
+2 unusable input (missing file, malformed JSON or config, bad --seeds).
 
 Every command that takes --out writes a manifest.json naming the run's
 inputs, seeds, and outputs.  The manifest (and bench-codec's
@@ -34,10 +34,12 @@ from dataclasses import replace
 from . import __version__, compression, wire
 from .consensus import CampaignConfig, run_campaign
 from .fipa import (
+    ConversationAutomaton,
+    FipaError,
     check_trace_inclusion,
-    load_protocol,
     procedural_bound_check,
 )
+from .schema import ConfigError
 from .workloads import ScaleConfig, run_scale
 
 
@@ -63,12 +65,19 @@ def _tick_ms(default: float) -> float:
     return value
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fp:
             return json.load(fp)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise UsageError(f"cannot read {path}: {e}") from e
+
+
+def _load_config(path: str, cls):
+    try:
+        return cls.from_json(_load_json(path))
+    except ConfigError as e:
+        raise UsageError(f"{path}: {e}") from e
 
 
 def _write_json(path: str, obj) -> None:
@@ -102,11 +111,21 @@ def _csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    """Accept '1,2,3' or 'start:count'."""
-    if ":" in spec:
-        start, count = spec.split(":", 1)
-        return list(range(int(start), int(start) + int(count)))
-    return [int(s) for s in spec.split(",") if s]
+    """Accept '1,2,3' or 'start:count' naming at least one seed."""
+    try:
+        if ":" in spec:
+            start, count = map(int, spec.split(":", 1))
+            seeds = list(range(start, start + count)) if count >= 0 else []
+        else:
+            seeds = [int(s) for s in spec.split(",") if s]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise UsageError(
+            f"--seeds: expected 'a,b,c' or 'start:count' naming at least "
+            f"one seed, got {spec!r}"
+        )
+    return seeds
 
 
 # -- bench-codec ---------------------------------------------------------------
@@ -227,14 +246,9 @@ _CAMPAIGN_COLUMNS = [
 
 
 def cmd_sim_consensus(args, argv) -> int:
-    cfg = CampaignConfig.from_json(_load_json(args.config))
-    if args.seeds:
-        cfg = CampaignConfig(
-            base=cfg.base,
-            seeds=tuple(_parse_seeds(args.seeds)),
-            crash_count=cfg.crash_count,
-            crash_window=cfg.crash_window,
-        )
+    cfg = _load_config(args.config, CampaignConfig)
+    if args.seeds is not None:
+        cfg = replace(cfg, seeds=tuple(_parse_seeds(args.seeds)))
     runs, corpus = run_campaign(cfg, collect_corpus=True)
 
     rows = [run.row() for run in runs]
@@ -286,7 +300,7 @@ def cmd_sim_consensus(args, argv) -> int:
 
 
 def cmd_sim_scale(args, argv) -> int:
-    cfg = ScaleConfig.from_json(_load_json(args.config))
+    cfg = _load_config(args.config, ScaleConfig)
     cfg = replace(cfg, tick_ms=_tick_ms(cfg.tick_ms))
     report, net = run_scale(cfg)
     summary = report.to_json()
@@ -323,9 +337,9 @@ def cmd_check_traces(args, argv) -> int:
     ok = True
     for path in args.protocols:
         try:
-            auto = load_protocol(path)
-        except OSError as e:
-            raise UsageError(str(e)) from e
+            auto = ConversationAutomaton.from_json(_load_json(path))
+        except FipaError as e:
+            raise UsageError(f"{path}: {e}") from e
         inclusion = check_trace_inclusion(auto, max_len=args.max_len)
         bound = procedural_bound_check(auto)
         results.append(
@@ -366,9 +380,7 @@ def cmd_check_bound(args, argv) -> int:
     ok = True
     for path in args.distributions:
         try:
-            dist = compression.load_distribution(path)
-        except OSError as e:
-            raise UsageError(str(e)) from e
+            dist = compression.MessageDistribution.from_json(_load_json(path))
         except compression.CompressionError as e:
             raise UsageError(f"{path}: {e}") from e
         rep = compression.check_bound(dist)
@@ -401,6 +413,8 @@ def cmd_validate(args, argv) -> int:
         expect = None
         if os.path.exists(sidecar):
             expect = _load_json(sidecar)
+            if not isinstance(expect, dict):
+                raise UsageError(f"{sidecar}: expected a JSON object")
         violations = wire.validate(blob)
         error_name = None
         msg = None

@@ -38,7 +38,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from . import wire
+from . import schema, wire
 from .agent import Agent, Infeasible
 from .simnet import BasicNode, Network, SimConfig
 from .wire import FLAG_RESPONSE, Message, Option, OptionType, Verb
@@ -544,7 +544,7 @@ class Participant(BasicNode):
 
 
 @dataclass(frozen=True)
-class DecreeConfig:
+class DecreeConfig(schema.Config):
     n: int = 3
     proposers: tuple[int, ...] | None = None  # default: every node
     values: tuple[str, ...] | None = None     # per proposer, default v<id>
@@ -561,38 +561,15 @@ class DecreeConfig:
             return list(range(self.n))
         return sorted(self.proposers)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "proposers": (
-                list(self.proposers) if self.proposers is not None else None
-            ),
-            "values": list(self.values) if self.values is not None else None,
-            "sim": self.sim.to_json(),
-            "until": self.until,
-            "instance": self.instance,
-            "retry_timeout": self.retry_timeout,
-            "ping_interval": self.ping_interval,
-            "fd_timeout": self.fd_timeout,
-            "fd_timeout_cap": self.fd_timeout_cap,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DecreeConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(
-                f"unknown decree config fields: {sorted(unknown)}"
-            )
-        kwargs = dict(obj)
-        if "sim" in kwargs:
-            kwargs["sim"] = SimConfig.from_json(kwargs["sim"])
-        if kwargs.get("proposers") is not None:
-            kwargs["proposers"] = tuple(kwargs["proposers"])
-        if kwargs.get("values") is not None:
-            kwargs["values"] = tuple(kwargs["values"])
-        return cls(**kwargs)
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        if not all(0 <= p < self.n for p in self.proposers or ()):
+            raise ValueError(f"proposers must be node ids below n={self.n}")
+        if self.values is not None and (
+            len(self.values) != len(self.proposer_ids())
+        ):
+            raise ValueError("values must match proposers one to one")
 
 
 @dataclass
@@ -635,8 +612,6 @@ def run_decree(config: DecreeConfig) -> DecreeOutcome:
     proposer_ids = config.proposer_ids()
     values: dict[int, bytes] = {}
     if config.values is not None:
-        if len(config.values) != len(proposer_ids):
-            raise ValueError("values must match proposers one to one")
         values = {
             pid: v.encode() for pid, v in zip(proposer_ids, config.values)
         }
@@ -685,7 +660,7 @@ def run_decree(config: DecreeConfig) -> DecreeOutcome:
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(schema.Config):
     """A batch of decree runs differing only in seed and in the crash
     schedule derived from each seed."""
 
@@ -694,35 +669,23 @@ class CampaignConfig:
     crash_count: int = 0
     crash_window: tuple[int, int] = (5, 40)
 
-    def to_json(self) -> dict:
-        return {
-            "base": self.base.to_json(),
-            "seeds": list(self.seeds),
-            "crash_count": self.crash_count,
-            "crash_window": list(self.crash_window),
-        }
+    def __post_init__(self) -> None:
+        if not self.seeds:
+            raise ValueError("a campaign needs at least one seed")
+        if self.crash_count < 0:
+            raise ValueError("crash_count must not be negative")
+        if not 0 <= self.crash_window[0] <= self.crash_window[1]:
+            raise ValueError("need 0 <= crash_window[0] <= crash_window[1]")
 
     @classmethod
-    def from_json(cls, obj: dict) -> "CampaignConfig":
-        known = {"base", "seeds", "seed_base", "seed_count", "crash_count",
-                 "crash_window"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(
-                f"unknown campaign config fields: {sorted(unknown)}"
-            )
-        if "seeds" in obj:
-            seeds = tuple(int(s) for s in obj["seeds"])
-        else:
-            base_seed = int(obj.get("seed_base", 0))
-            count = int(obj.get("seed_count", 1))
-            seeds = tuple(range(base_seed, base_seed + count))
-        return cls(
-            base=DecreeConfig.from_json(obj["base"]),
-            seeds=seeds,
-            crash_count=int(obj.get("crash_count", 0)),
-            crash_window=tuple(obj.get("crash_window", (5, 40))),
-        )
+    def from_json(cls, obj) -> "CampaignConfig":
+        """Also reads `seed_count` seeds up from `seed_base` for `seeds`."""
+        if isinstance(obj, dict) and "seeds" not in obj:
+            obj = dict(obj)
+            start = schema.read(int, obj.pop("seed_base", 0), "seed_base")
+            count = schema.read(int, obj.pop("seed_count", 1), "seed_count")
+            obj["seeds"] = list(range(start, start + count))
+        return schema.from_json(cls, obj)
 
 
 def derive_fault_schedule(

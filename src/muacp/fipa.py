@@ -25,7 +25,6 @@ order, with consistent conversation ids.
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -494,7 +493,7 @@ class ConversationAutomaton:
                 nesting_depth=obj.get("nesting_depth", 1),
                 knowledge=dict(obj.get("knowledge", {})),
             )
-        except (KeyError, ValueError) as e:
+        except (KeyError, ValueError, TypeError) as e:
             raise FipaError(f"bad protocol description: {e}") from e
 
 

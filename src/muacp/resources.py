@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .schema import Config
+
 DIMENSIONS = ("memory", "bandwidth", "cpu", "energy")
 
 Rational = int | float | str | Fraction
@@ -38,7 +40,7 @@ class ResourceError(Exception):
     pass
 
 
-class NegativeResource(ResourceError):
+class NegativeResource(ResourceError, ValueError):
     """A vector component went below zero."""
 
 
@@ -167,7 +169,7 @@ UNBOUNDED = ResourceBudget.full(
 
 
 @dataclass(frozen=True)
-class CostModel:
+class CostModel(Config):
     """Affine cost of handling one message of a given wire size.
 
     cost(size) = (buffer_per_byte * size,
@@ -187,14 +189,7 @@ class CostModel:
     buffer_per_byte: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        for name in (
-            "per_byte_bandwidth",
-            "per_byte_cpu",
-            "per_message_cpu",
-            "per_byte_energy",
-            "per_message_energy",
-            "buffer_per_byte",
-        ):
+        for name in self.__dataclass_fields__:
             v = _frac(getattr(self, name))
             if v < 0:
                 raise NegativeResource(f"{name}={v} is negative")
@@ -217,31 +212,6 @@ class CostModel:
     def buffer_memory(self, size: int) -> ResourceVector:
         """The transient (refundable) part of the cost."""
         return ResourceVector(memory=self.buffer_per_byte * size)
-
-    def to_json(self) -> dict:
-        return {
-            "per_byte_bandwidth": str(self.per_byte_bandwidth),
-            "per_byte_cpu": str(self.per_byte_cpu),
-            "per_message_cpu": str(self.per_message_cpu),
-            "per_byte_energy": str(self.per_byte_energy),
-            "per_message_energy": str(self.per_message_energy),
-            "buffer_per_byte": str(self.buffer_per_byte),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CostModel":
-        known = {
-            "per_byte_bandwidth",
-            "per_byte_cpu",
-            "per_message_cpu",
-            "per_byte_energy",
-            "per_message_energy",
-            "buffer_per_byte",
-        }
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown cost model fields: {sorted(unknown)}")
-        return cls(**{k: _frac(v) for k, v in obj.items()})
 
 
 @dataclass(frozen=True)

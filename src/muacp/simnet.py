@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .agent import Agent, Infeasible, TransitionLabel
+from .schema import Config
 from .wire import Message, encode
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Config):
     seed: int = 0
     gst: int = 0                 # tick from which synchrony holds
     delta: int = 5               # post-gst delivery bound (ticks)
@@ -52,38 +53,6 @@ class SimConfig:
             raise ValueError("dup_rate must be in [0, 1]")
         if self.max_consecutive_drops < 1:
             raise ValueError("max_consecutive_drops must be at least 1")
-        object.__setattr__(
-            self,
-            "fault_schedule",
-            tuple((int(a), int(t)) for a, t in self.fault_schedule),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "gst": self.gst,
-            "delta": self.delta,
-            "delay_min": self.delay_min,
-            "delay_max": self.delay_max,
-            "drop_rate": self.drop_rate,
-            "dup_rate": self.dup_rate,
-            "rate_cap": self.rate_cap,
-            "max_consecutive_drops": self.max_consecutive_drops,
-            "fault_schedule": [list(x) for x in self.fault_schedule],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SimConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown sim config fields: {sorted(unknown)}")
-        kwargs = dict(obj)
-        if "fault_schedule" in kwargs:
-            kwargs["fault_schedule"] = tuple(
-                tuple(x) for x in kwargs["fault_schedule"]
-            )
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

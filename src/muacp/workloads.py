@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from . import wire
 from .agent import Agent
 from .fipa import PROC_CODES, Performative
+from .schema import Config
 from .simnet import BasicNode, MetricsReport, Network, SimConfig
 from .wire import (
     CONTENT_LITERAL,
@@ -45,7 +46,7 @@ _PROC_REJECT = bytes((PROC_CODES[Performative.REJECT_PROPOSAL],))
 
 
 @dataclass(frozen=True)
-class ScaleConfig:
+class ScaleConfig(Config):
     n: int = 100
     until: int = 900
     drain: int = 250             # quiet period before the end
@@ -73,26 +74,6 @@ class ScaleConfig:
             raise ValueError("network too small for the configured pool")
         if self.until <= self.drain:
             raise ValueError("run must be longer than the drain period")
-
-    def to_json(self) -> dict:
-        out = {
-            f: getattr(self, f)
-            for f in self.__dataclass_fields__
-            if f != "sim"
-        }
-        out["sim"] = self.sim.to_json()
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ScaleConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown scale config fields: {sorted(unknown)}")
-        kwargs = dict(obj)
-        if "sim" in kwargs:
-            kwargs["sim"] = SimConfig.from_json(kwargs["sim"])
-        return cls(**kwargs)
 
 
 class WorkloadStats:

@@ -182,3 +182,126 @@ def test_outputs_reproducible_across_hash_seeds(tmp_path):
         m.pop("wall_clock_unix")
         m.pop("argv")
     assert ma == mb
+
+
+def _assert_usage_error(rc, capsys, expected: str) -> None:
+    """Exit 2 with one `error:` line naming the problem, no traceback."""
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert expected in lines[0]
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def edit(cfg):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return cfg
+
+    return edit
+
+
+CONSENSUS_REPROS = {
+    "n_string": (_set("base", "n", "3"), "base.n: expected int, got str"),
+    "n_fractional": (_set("base", "n", 12.5),
+                     "base.n: expected int, got float"),
+    "delay_min_zero": (_set("base", "sim", "delay_min", 0),
+                       "base.sim: need 1 <= delay_min"),
+    "top_level_list": (lambda cfg: [cfg], "expected an object, got list"),
+    "missing_base": (lambda cfg: {k: v for k, v in cfg.items()
+                                  if k != "base"}, "base: missing"),
+    "short_crash_window": (_set("crash_window", [5]),
+                           "crash_window: expected 2 items, got 1"),
+    "reversed_crash_window": (_set("crash_window", [40, 5]),
+                              "need 0 <= crash_window[0] <= crash_window[1]"),
+    "negative_crash_count": (_set("crash_count", -1),
+                             "crash_count must not be negative"),
+    "no_seeds": (_set("seed_count", 0), "a campaign needs at least one seed"),
+    "short_fault_entry": (
+        _set("base", "sim", "fault_schedule", [[1]]),
+        "base.sim.fault_schedule[0]: expected 2 items, got 1",
+    ),
+    "proposer_out_of_range": (_set("base", "proposers", [9]),
+                              "base: proposers must be node ids below n=5"),
+    "values_not_one_per_proposer": (_set("base", "values", ["a"]),
+                                    "base: values must match proposers"),
+    "sim_not_an_object": (_set("base", "sim", 5),
+                          "base.sim: expected an object, got int"),
+    "unknown_field": (_set("base", "sim", "sprocket", 1),
+                      "base.sim.sprocket: unknown field"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSENSUS_REPROS))
+def test_malformed_consensus_config_exits_2(tmp_path, capsys, case):
+    edit, expected = CONSENSUS_REPROS[case]
+    cfg = json.loads((ROOT / "configs" / "consensus_n5.json").read_text())
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(edit(cfg)))
+    rc = main(["sim-consensus", "--config", str(p),
+               "--out", str(tmp_path / "out")])
+    _assert_usage_error(rc, capsys, f"{p}: {expected}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (_set("n", 5), "network too small"),
+    (_set("n", 12.5), "n: expected int, got float"),
+    (_set("tick_ms", "1"), "tick_ms: expected float, got str"),
+])
+def test_malformed_scale_config_exits_2(tmp_path, capsys, edit, expected):
+    p = small_scale_config(tmp_path)
+    p.write_text(json.dumps(edit(json.loads(p.read_text()))))
+    rc = main(["sim-scale", "--config", str(p)])
+    _assert_usage_error(rc, capsys, expected)
+
+
+@pytest.mark.parametrize("spec", ["abc", "1:x", "x:1", "0:-1", "0:0", ",", ""])
+def test_bad_seeds_spec_exits_2(tmp_path, capsys, spec):
+    cfg = small_consensus_config(tmp_path)
+    rc = main(["sim-consensus", "--config", str(cfg), "--seeds", spec])
+    _assert_usage_error(rc, capsys, "--seeds")
+
+
+_PROTOCOL = {
+    "name": "p", "roles": ["a", "b"], "states": ["s0"], "initial": "s0",
+    "accepting": ["s0"],
+}
+
+
+@pytest.mark.parametrize("command, text, expected", [
+    pytest.param("check-traces", "{not json", "cannot read",
+                 id="protocol-not-json"),
+    pytest.param("check-traces", "\udcff", "cannot read",
+                 id="protocol-not-utf8"),
+    pytest.param("check-traces", json.dumps(_PROTOCOL),
+                 "bad protocol description", id="protocol-no-transitions"),
+    pytest.param("check-traces", json.dumps({**_PROTOCOL, "transitions": 5}),
+                 "bad protocol description", id="protocol-transitions-int"),
+    pytest.param("check-traces", json.dumps([_PROTOCOL]),
+                 "bad protocol description", id="protocol-top-level-list"),
+    pytest.param("check-bound", "{not json", "cannot read",
+                 id="dist-not-json"),
+    pytest.param("check-bound", "[" * 100_000, "cannot read",
+                 id="dist-nested-too-deep"),
+])
+def test_malformed_protocol_or_distribution_exits_2(
+    tmp_path, capsys, command, text, expected
+):
+    p = tmp_path / "input.json"
+    p.write_text(text, encoding="utf-8", errors="surrogateescape")
+    _assert_usage_error(main([command, str(p)]), capsys, expected)
+
+
+def test_validate_sidecar_must_be_an_object(tmp_path, capsys):
+    v = tmp_path / "m.hex"
+    v.write_text((ROOT / "vectors" / "ping_min.hex").read_text())
+    (tmp_path / "m.json").write_text(json.dumps(["expect", "ok"]))
+    _assert_usage_error(main(["validate", str(v)]), capsys,
+                        "expected a JSON object")

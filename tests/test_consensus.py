@@ -243,14 +243,6 @@ def test_leader_crash_recovers():
     assert hits == 8     # the crashed node never decides
 
 
-def test_decree_config_json_roundtrip():
-    cfg = DecreeConfig(n=5, proposers=(0, 2), values=("a", "b"),
-                       sim=lossless_sim(seed=3), until=99)
-    assert DecreeConfig.from_json(cfg.to_json()) == cfg
-    with pytest.raises(ValueError):
-        DecreeConfig.from_json({"n": 3, "sprocket": 1})
-
-
 # -- failure detector ----------------------------------------------------------
 
 

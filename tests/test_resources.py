@@ -83,13 +83,6 @@ def test_infeasible_charge_not_applied():
     assert b.remaining == b.limit
 
 
-def test_cost_model_json_roundtrip():
-    model = CostModel(per_byte_bandwidth="2/3", per_message_cpu=1)
-    assert CostModel.from_json(model.to_json()) == model
-    with pytest.raises(ValueError):
-        CostModel.from_json({"per_byte_banana": 1})
-
-
 small = st.integers(0, 20)
 vec_st = st.builds(ResourceVector.of, small, small, small, small)
 

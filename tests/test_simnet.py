@@ -31,14 +31,6 @@ def test_config_rejects_nonsense():
         SimConfig(seed=0, delta=0)
 
 
-def test_config_json_roundtrip():
-    cfg = SimConfig(seed=3, gst=50, delta=4, drop_rate=0.25,
-                    fault_schedule=((1, 9),))
-    assert SimConfig.from_json(cfg.to_json()) == cfg
-    with pytest.raises(ValueError):
-        SimConfig.from_json({"seed": 0, "spurious": 1})
-
-
 # -- determinism ----------------------------------------------------------------
 
 
