@@ -178,8 +178,10 @@ def _bench_messages(seed: int) -> dict[str, list[wire.Message]]:
 
 
 def cmd_bench_codec(args, argv) -> int:
-    groups = _bench_messages(args.seed)
     iterations = args.iterations
+    if iterations < 1:
+        raise UsageError(f"--iterations must be at least 1, got {iterations}")
+    groups = _bench_messages(args.seed)
 
     size_rows = []
     for name, msgs in sorted(groups.items()):

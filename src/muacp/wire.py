@@ -26,13 +26,21 @@ Hard limits: the options section (type+length+value for every option)
 may not exceed OPTIONS_LIMIT bytes in total, option_count fits one
 byte, and payload_len fits two bytes.  A minimal message (no options,
 empty payload) is exactly 11 bytes on the wire.
+
+`Header`, `Option` and `Message` are immutable tuples, validated once
+by their constructors; each field range and limit is written once, below,
+for the constructors and `check_wellformed` alike.  `decode` checks what
+bytes can get wrong (truncation, version, the options-section limit,
+trailing bytes) and builds values unchecked, since the byte format bounds
+every other field.  NamedTuple's `_make` and `_replace` skip the checks.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 PROTOCOL_VERSION = 1
 
@@ -44,10 +52,16 @@ PAYLOAD_LIMIT = 0xFFFF      # payload_len is two bytes
 MIN_MESSAGE_SIZE = 11
 HEADER_SIZE = 8
 
+# Largest value of each header field (all start at 0), in check order.
+_HEADER_RANGES = (("version", 0xF), ("qos", 3), ("flags", 0xFF),
+                  ("message_id", 0xFFFF), ("sequence", 0xFFFF),
+                  ("correlation_id", 0xFFFF))
+_CODE_MAX = 0xFF            # option type is one byte
+U32_MAX = 0xFFFFFFFF        # numeric option values are four bytes
+
 # Flag bits (byte 1 of the header).
 FLAG_RESPONSE = 0x01
 FLAG_ERROR = 0x02
-KNOWN_FLAGS = FLAG_RESPONSE | FLAG_ERROR
 
 
 class Verb(enum.IntEnum):
@@ -57,6 +71,10 @@ class Verb(enum.IntEnum):
     TELL = 1      # assert a belief or deliver a value
     ASK = 2       # request information or action
     OBSERVE = 3   # subscribe to a topic
+
+
+_VERBS = tuple(Verb)                    # indexed by the 2-bit field
+_VERB_OF = {v: v for v in Verb}         # any int equal to a verb -> Verb
 
 
 class OptionType(enum.IntEnum):
@@ -128,54 +146,94 @@ class FieldRange(WireError):
 _HEADER = struct.Struct(">BBHHH")
 _OPTION_HEAD = struct.Struct(">BH")
 _U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Option:
-    """One type-length-value option."""
-
-    code: int
-    value: bytes = b""
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.code <= 0xFF:
-            raise FieldRange(f"option code {self.code} not in 0..255", "option")
-        if len(self.value) > OPTION_VALUE_LIMIT:
-            raise OversizedOptions(
-                f"option value of {len(self.value)} bytes cannot fit the "
-                f"{OPTIONS_LIMIT}-byte options section",
-                "option",
-            )
-
-    @property
-    def wire_size(self) -> int:
-        return 3 + len(self.value)
+# -- the rules: each yields, in check order, the error a constructor raises --
 
 
-@dataclass(frozen=True)
-class Header:
-    """Decoded 64-bit fixed header."""
+def _header_faults(verb, qos, flags, message_id, sequence, correlation_id,
+                   version):
+    values = (version, qos, flags, message_id, sequence, correlation_id)
+    for (name, hi), value in zip(_HEADER_RANGES, values):
+        if not 0 <= value <= hi:
+            yield FieldRange(f"{name} {value} not in 0..{hi}")
+    if verb not in _VERB_OF:
+        yield FieldRange(f"verb {verb} not in 0..3", "verb")
 
-    verb: Verb
-    qos: int = 0
-    flags: int = 0
-    message_id: int = 0
-    sequence: int = 0
-    correlation_id: int = 0
-    version: int = PROTOCOL_VERSION
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.version <= 0xF:
-            raise FieldRange(f"version {self.version} not in 0..15")
-        if not 0 <= self.qos <= 3:
-            raise FieldRange(f"qos {self.qos} not in 0..3")
-        if not 0 <= self.flags <= 0xFF:
-            raise FieldRange(f"flags {self.flags:#x} not in 0..255")
-        for name in ("message_id", "sequence", "correlation_id"):
-            v = getattr(self, name)
-            if not 0 <= v <= 0xFFFF:
-                raise FieldRange(f"{name} {v} not in 0..65535")
-        object.__setattr__(self, "verb", Verb(self.verb))
+def _option_faults(code, value):
+    if not 0 <= code <= _CODE_MAX:
+        yield FieldRange(f"option code {code} not in 0..{_CODE_MAX}", "option")
+    if len(value) > OPTION_VALUE_LIMIT:
+        yield OversizedOptions(
+            f"option value of {len(value)} bytes cannot fit the "
+            f"{OPTIONS_LIMIT}-byte options section",
+            "option",
+        )
+
+
+def _section_size(options) -> int:
+    """Encoded size of an options section: type, length and value each."""
+    return 3 * len(options) + sum([len(value) for _, value in options])
+
+
+def _body_faults(count, section, payload_len):
+    if count > OPTION_COUNT_LIMIT:
+        yield TooManyOptions(
+            f"{count} options exceed count limit {OPTION_COUNT_LIMIT}",
+            "count-cap",
+        )
+    if section > OPTIONS_LIMIT:
+        yield OversizedOptions(
+            f"options section is {section} bytes, limit {OPTIONS_LIMIT}",
+            "options-size",
+        )
+    if payload_len > PAYLOAD_LIMIT:
+        yield OversizedPayload(
+            f"payload is {payload_len} bytes, limit {PAYLOAD_LIMIT}",
+            "payload",
+        )
+
+
+# -- values -------------------------------------------------------------------
+
+
+class Option(NamedTuple("Option", [("code", int), ("value", bytes)])):
+    """One type-length-value option, an immutable `(code, value)` tuple.
+
+    Equality and hashing are a tuple's: `Option(6, b"\\x01") == (6, b"\\x01")`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, code: int, value: bytes = b""):
+        for fault in _option_faults(code, value):
+            raise fault
+        return _new(cls, (code, value))
+
+
+class Header(NamedTuple("Header", [
+    ("verb", Verb), ("qos", int), ("flags", int), ("message_id", int),
+    ("sequence", int), ("correlation_id", int), ("version", int),
+])):
+    """Decoded 64-bit fixed header, an immutable tuple of its fields.
+
+    `verb` is converted to `Verb`.  Equality and hashing are a tuple's,
+    so a header equals the plain tuple of its seven fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, verb: Verb | int, qos: int = 0, flags: int = 0,
+                message_id: int = 0, sequence: int = 0,
+                correlation_id: int = 0, version: int = PROTOCOL_VERSION):
+        for fault in _header_faults(verb, qos, flags, message_id, sequence,
+                                    correlation_id, version):
+            raise fault
+        return _new(cls, (_VERB_OF[verb], qos, flags, message_id, sequence,
+                          correlation_id, version))
 
     @property
     def is_response(self) -> bool:
@@ -186,52 +244,36 @@ class Header:
         return bool(self.flags & FLAG_ERROR)
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple("Message", [
+    ("header", Header), ("options", tuple), ("payload", bytes),
+    ("wire_size", int),
+])):
     """A complete message: header, option sequence, payload.
 
     Options keep their wire order and duplicates are allowed; several
     processing rules (consensus promises, for one) rely on repeated
-    option codes.
+    option codes.  `wire_size`, the encoded length in bytes, is worked
+    out when the message is built.  Equality and hashing are a tuple's,
+    so a message equals the plain tuple of its four fields.
     """
 
-    header: Header
-    options: tuple[Option, ...] = ()
-    payload: bytes = b""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "options", tuple(self.options))
-        if len(self.options) > OPTION_COUNT_LIMIT:
-            raise TooManyOptions(
-                f"{len(self.options)} options exceed count limit "
-                f"{OPTION_COUNT_LIMIT}",
-                "count-cap",
-            )
-        total = sum(o.wire_size for o in self.options)
-        if total > OPTIONS_LIMIT:
-            raise OversizedOptions(
-                f"options section is {total} bytes, limit {OPTIONS_LIMIT}",
-                "options-size",
-            )
-        if len(self.payload) > PAYLOAD_LIMIT:
-            raise OversizedPayload(
-                f"payload is {len(self.payload)} bytes, limit {PAYLOAD_LIMIT}",
-                "payload",
-            )
+    def __new__(cls, header: Header,
+                options: tuple[Option, ...] | list[Option] = (),
+                payload: bytes = b""):
+        options = tuple(options)
+        if not all([type(o) is Option for o in options]):
+            raise TypeError("options must be Option values")
+        section = _section_size(options)
+        for fault in _body_faults(len(options), section, len(payload)):
+            raise fault
+        return _new(cls, (header, options, payload,
+                          HEADER_SIZE + 3 + section + len(payload)))
 
     @property
     def verb(self) -> Verb:
         return self.header.verb
-
-    @property
-    def wire_size(self) -> int:
-        return (
-            HEADER_SIZE
-            + 1
-            + sum(o.wire_size for o in self.options)
-            + 2
-            + len(self.payload)
-        )
 
     def find(self, code: int) -> Option | None:
         """First option with the given code, or None."""
@@ -260,15 +302,8 @@ def message(
 ) -> Message:
     """Convenience constructor used throughout the higher layers."""
     return Message(
-        Header(
-            verb=Verb(verb),
-            qos=qos,
-            flags=flags,
-            message_id=message_id,
-            sequence=sequence,
-            correlation_id=correlation_id,
-        ),
-        tuple(options),
+        Header(verb, qos, flags, message_id, sequence, correlation_id),
+        options,
         payload,
     )
 
@@ -280,23 +315,17 @@ def encode(msg: Message) -> bytes:
     option order is preserved and there is exactly one byte string per
     message value.
     """
-    h = msg.header
+    (verb, qos, flags, mid, seq, cid, version), options, payload, _ = msg
     parts = [
-        _HEADER.pack(
-            (h.version << 4) | (h.verb << 2) | h.qos,
-            h.flags,
-            h.message_id,
-            h.sequence,
-            h.correlation_id,
-        ),
-        bytes((len(msg.options),)),
+        _HEADER.pack((version << 4) | (verb << 2) | qos, flags, mid, seq, cid),
+        bytes((len(options),)),
     ]
     append = parts.append
-    for opt in msg.options:
-        append(_OPTION_HEAD.pack(opt.code, len(opt.value)))
-        append(opt.value)
-    append(_U16.pack(len(msg.payload)))
-    append(msg.payload)
+    for code, value in options:
+        append(_OPTION_HEAD.pack(code, len(value)))
+        append(value)
+    append(_U16.pack(len(payload)))
+    append(payload)
     return b"".join(parts)
 
 
@@ -316,8 +345,6 @@ def decode(data: bytes) -> Message:
     version = b0 >> 4
     if version != PROTOCOL_VERSION:
         raise BadVersion(f"version {version}, expected {PROTOCOL_VERSION}")
-    verb = Verb((b0 >> 2) & 0x3)
-    qos = b0 & 0x3
 
     pos = HEADER_SIZE
     count = data[pos]
@@ -337,7 +364,7 @@ def decode(data: bytes) -> Message:
                 f"options section exceeds {OPTIONS_LIMIT} bytes",
                 "options-size",
             )
-        options.append(Option(code, data[pos:pos + vlen]))
+        options.append(_new(Option, (code, data[pos:pos + vlen])))
         pos += vlen
     if pos + 2 > n:
         raise Truncated("payload length field runs past end of input", "payload")
@@ -351,18 +378,9 @@ def decode(data: bytes) -> Message:
         raise LengthMismatch(
             f"{n - pos} trailing bytes after message end", "payload"
         )
-    return Message(
-        Header(
-            verb=verb,
-            qos=qos,
-            flags=flags,
-            message_id=mid,
-            sequence=seq,
-            correlation_id=cid,
-        ),
-        tuple(options),
-        payload,
-    )
+    header = _new(Header, (_VERBS[(b0 >> 2) & 0x3], b0 & 0x3, flags, mid,
+                           seq, cid, version))
+    return _new(Message, (header, tuple(options), payload, n))
 
 
 @dataclass(frozen=True)
@@ -374,8 +392,8 @@ class Violation:
     detail: str
 
 
-#: The five structural clauses, in check order, plus the option-count
-#: cap which is enforced by the byte format rather than the value model.
+#: The five structural clauses, plus the option-count cap which is
+#: enforced by the byte format rather than the value model.
 CLAUSES = ("header", "verb", "option", "options-size", "payload", "count-cap")
 
 
@@ -393,73 +411,34 @@ def check_wellformed(
 ) -> list[Violation]:
     """Evaluate every well-formedness clause over raw field values.
 
-    Unlike the dataclass constructors, this accepts arbitrary integers
-    and reports all violations with the clause that failed, so a single
-    bad artifact can be diagnosed completely.
+    The rules are the ones the value constructors apply, plus the
+    version decode requires; but where a constructor raises the first
+    violation, this accepts arbitrary integers and reports all of them
+    with the clause each failed, so a single bad artifact can be
+    diagnosed completely.  A message's own options are valid input.
     """
-    out: list[Violation] = []
-    ranges = {
-        "version": (version, 0xF),
-        "qos": (qos, 3),
-        "flags": (flags, 0xFF),
-        "message_id": (message_id, 0xFFFF),
-        "sequence": (sequence, 0xFFFF),
-        "correlation_id": (correlation_id, 0xFFFF),
-    }
-    for name, (value, hi) in ranges.items():
-        if not 0 <= value <= hi:
-            out.append(Violation("header", f"{name}={value} not in 0..{hi}"))
-    if version != PROTOCOL_VERSION and 0 <= version <= 0xF:
-        out.append(
-            Violation("header", f"version={version} is not {PROTOCOL_VERSION}")
-        )
-    if verb not in (0, 1, 2, 3):
-        out.append(Violation("verb", f"verb={verb} not in 0..3"))
-    section = 0
+    out = [Violation(e.clause, str(e)) for e in _header_faults(
+        verb, qos, flags, message_id, sequence, correlation_id, version)]
+    if version != PROTOCOL_VERSION:
+        out.append(Violation("header", f"version {version} is not "
+                                       f"{PROTOCOL_VERSION}"))
     for i, (code, value) in enumerate(options):
-        if not 0 <= code <= 0xFF:
-            out.append(Violation("option", f"option {i}: code={code}"))
-        if len(value) > OPTION_VALUE_LIMIT:
-            out.append(
-                Violation(
-                    "option",
-                    f"option {i}: value of {len(value)} bytes exceeds "
-                    f"{OPTION_VALUE_LIMIT}",
-                )
-            )
-        section += 3 + len(value)
-    if section > OPTIONS_LIMIT:
-        out.append(
-            Violation(
-                "options-size",
-                f"options section {section} bytes, limit {OPTIONS_LIMIT}",
-            )
-        )
-    if len(payload) > PAYLOAD_LIMIT:
-        out.append(
-            Violation(
-                "payload",
-                f"payload {len(payload)} bytes, limit {PAYLOAD_LIMIT}",
-            )
-        )
-    if len(options) > OPTION_COUNT_LIMIT:
-        out.append(
-            Violation(
-                "count-cap",
-                f"{len(options)} options, count limit {OPTION_COUNT_LIMIT}",
-            )
-        )
+        out += (Violation(e.clause, f"option {i}: {e}")
+                for e in _option_faults(code, value))
+    section = _section_size(options)
+    out += (Violation(e.clause, str(e))
+            for e in _body_faults(len(options), section, len(payload)))
     return out
 
 
 def validate(data: bytes) -> list[Violation]:
     """Check wire bytes against the well-formedness clauses.
 
-    Returns an empty list iff decode() succeeds: decode and the value
-    constructors enforce every clause, so a failure is reported under
-    the clause it breaks, or, for structural failures that prevent
-    parsing at all (truncation, trailing bytes), under the clause whose
-    field could not be read.
+    Returns an empty list iff decode() succeeds.  decode rejects what
+    the bytes can get wrong and the byte format bounds every other
+    field, so a failure is reported under the clause it breaks, or, for
+    structural failures that prevent parsing at all (truncation,
+    trailing bytes), under the clause whose field could not be read.
     """
     try:
         decode(data)
@@ -471,13 +450,15 @@ def validate(data: bytes) -> list[Violation]:
 # Option value codecs for the registered numeric options.
 
 def encode_u32(value: int) -> bytes:
-    return struct.pack(">I", value)
+    if not 0 <= value <= U32_MAX:
+        raise FieldRange(f"u32 value {value} not in 0..{U32_MAX}", "option")
+    return _U32.pack(value)
 
 
 def decode_u32(value: bytes) -> int:
     if len(value) != 4:
         raise WireError(f"expected 4-byte integer option, got {len(value)}")
-    return struct.unpack(">I", value)[0]
+    return _U32.unpack(value)[0]
 
 
 def opt_cid(cid: int) -> Option:

@@ -35,6 +35,7 @@ from .wire import (
     Message,
     Option,
     OptionType,
+    U32_MAX,
     Verb,
 )
 
@@ -74,6 +75,13 @@ class ScaleConfig(Config):
             raise ValueError("network too small for the configured pool")
         if self.until <= self.drain:
             raise ValueError("run must be longer than the drain period")
+        for name in ("rr_period", "refusal_modulus"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not 0 <= self.rr_deadline <= U32_MAX:
+            raise ValueError(f"rr_deadline must be in 0..{U32_MAX}")
+        if not self.tick_ms > 0:
+            raise ValueError("tick_ms must be positive")
 
 
 class WorkloadStats:

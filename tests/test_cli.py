@@ -46,6 +46,14 @@ def test_bench_codec_outputs(tmp_path):
     assert timing["iterations"] == 3
 
 
+@pytest.mark.parametrize("iterations", ["0", "-1"])
+def test_bench_codec_iterations_must_be_positive(tmp_path, capsys, iterations):
+    rc = main(["bench-codec", "--iterations", iterations,
+               "--out", str(tmp_path / "bench")])
+    _assert_usage_error(rc, capsys, "--iterations must be at least 1")
+    assert not (tmp_path / "bench").exists()
+
+
 def test_sim_consensus_outputs_and_seed_override(tmp_path):
     cfg = small_consensus_config(tmp_path)
     out = tmp_path / "runs"
@@ -254,6 +262,18 @@ def test_malformed_consensus_config_exits_2(tmp_path, capsys, case):
     (_set("n", 5), "network too small"),
     (_set("n", 12.5), "n: expected int, got float"),
     (_set("tick_ms", "1"), "tick_ms: expected float, got str"),
+    pytest.param(_set("rr_period", 0), "rr_period must be at least 1",
+                 id="rr_period-0"),
+    pytest.param(_set("refusal_modulus", 0),
+                 "refusal_modulus must be at least 1", id="refusal_modulus-0"),
+    pytest.param(_set("rr_deadline", -1),
+                 "rr_deadline must be in 0..4294967295", id="rr_deadline--1"),
+    pytest.param(_set("rr_deadline", 2**32),
+                 "rr_deadline must be in 0..4294967295", id="rr_deadline-2^32"),
+    pytest.param(_set("tick_ms", 0), "tick_ms must be positive",
+                 id="tick_ms-0"),
+    pytest.param(_set("tick_ms", -1.5), "tick_ms must be positive",
+                 id="tick_ms--1.5"),
 ])
 def test_malformed_scale_config_exits_2(tmp_path, capsys, edit, expected):
     p = small_scale_config(tmp_path)

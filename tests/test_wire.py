@@ -292,5 +292,91 @@ def test_option_helpers_roundtrip():
     assert wire.decode_u32(wire.opt_cid(0xDEADBEEF).value) == 0xDEADBEEF
     assert wire.opt_topic("alerts").value == b"alerts"
     assert wire.opt_deadline(500).value == bytes.fromhex("000001f4")
+    assert wire.opt_conv(0xFFFFFFFF).value == b"\xff" * 4
     with pytest.raises(WireError):
         wire.decode_u32(b"\x00")
+    for helper in (wire.opt_cid, wire.opt_conv, wire.opt_deadline):
+        for bad in (-1, 2**32):
+            with pytest.raises(wire.FieldRange):
+                helper(bad)
+
+
+def test_wire_values_equal_the_plain_tuple_of_their_fields():
+    opt = Option(6, b"\x01")
+    assert opt == (6, b"\x01") and hash(opt) == hash((6, b"\x01"))
+    h = Header(Verb.ASK, qos=1)
+    assert h == (Verb.ASK, 1, 0, 0, 0, 0, wire.PROTOCOL_VERSION)
+    m = message(Verb.ASK, qos=1, options=[opt], payload=b"hi")
+    assert m == (h, (opt,), b"hi", 17) == decode(encode(m))
+    # but a plain pair is not an option: it skipped the option rules
+    with pytest.raises(TypeError):
+        message(Verb.ASK, options=[(300, b"")])
+
+
+# -- the checker and the constructors apply the same rules --------------------
+
+
+def _around(hi: int):
+    """Integers in 0..hi, plus the values just outside it."""
+    return st.integers(0, hi) | st.sampled_from([-1, hi, hi + 1])
+
+
+raw_fields_st = st.fixed_dictionaries({
+    "verb": _around(3),
+    "qos": _around(3),
+    "flags": _around(0xFF),
+    "message_id": _around(0xFFFF),
+    "sequence": _around(0xFFFF),
+    "correlation_id": _around(0xFFFF),
+    "options": (
+        st.lists(
+            st.tuples(
+                _around(0xFF),
+                st.binary(max_size=8)
+                | st.integers(509, wire.OPTION_VALUE_LIMIT + 1).map(bytes),
+            ),
+            max_size=4,
+        )
+        | st.integers(254, 256).map(lambda k: [(1, b"")] * k)
+    ),
+    "payload": st.binary(max_size=8)
+    | st.sampled_from([wire.PAYLOAD_LIMIT, wire.PAYLOAD_LIMIT + 1]).map(bytes),
+})
+
+
+@settings(max_examples=400)
+@given(raw_fields_st)
+def test_checker_passes_exactly_what_the_constructors_build(fields):
+    reported = {
+        v.clause
+        for v in wire.check_wellformed(version=wire.PROTOCOL_VERSION, **fields)
+    }
+    try:
+        message(**{**fields,
+                   "options": [Option(c, v) for c, v in fields["options"]]})
+    except WireError as e:
+        assert e.clause in reported
+    else:
+        assert reported == set()
+
+
+@settings(max_examples=400)
+@given(
+    st.binary(max_size=64)
+    | message_st.map(encode)
+    | st.tuples(message_st.map(encode), st.integers(0, 10),
+                st.integers(0, 255)).map(
+        lambda t: _mutate(t[0], t[1], t[2]) if t[1] < len(t[0]) else t[0]
+    )
+)
+def test_decoded_values_rebuild_through_the_constructors(blob):
+    try:
+        m = decode(blob)
+    except WireError:
+        return
+    rebuilt = Message(Header(*m.header), [Option(*o) for o in m.options],
+                      m.payload)
+    assert rebuilt == m
+    assert rebuilt.wire_size == m.wire_size == len(blob)
+    assert type(m.header) is Header and type(m.header.verb) is Verb
+    assert all(type(o) is Option for o in m.options)
