@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 from . import wire
 from .resources import (
+    BudgetLedger,
     CostModel,
     InfeasibleCharge,
     JournalEntry,
@@ -51,6 +52,7 @@ from .wire import (
 )
 
 DEFAULT_HISTORY_CAP = 32
+DEFAULT_COST_MODEL = CostModel()
 
 
 class AgentError(Exception):
@@ -148,8 +150,8 @@ class Agent:
         if h_cap < 1:
             raise ValueError("history capacity must be at least 1")
         self.id = agent_id
-        self.budget = budget
-        self.model = model if model is not None else CostModel()
+        self.model = model if model is not None else DEFAULT_COST_MODEL
+        self._ledger = BudgetLedger(budget, self.model)
         self.h_cap = h_cap
         self.ask_timeout = ask_timeout
         self.retransmit_interval = retransmit_interval
@@ -280,24 +282,29 @@ class Agent:
 
     # -- resource accounting --------------------------------------------
 
+    @property
+    def budget(self) -> ResourceBudget:
+        """The budget's limit and what remains of it, built on demand."""
+        return self._ledger.budget
+
     def _charge(self, msg: Message, kind: str, now: int) -> None:
-        cost = self.model.cost_of(msg)
         try:
-            self.budget = self.budget.charge(cost)
+            self._ledger.charge(msg.wire_size)
         except InfeasibleCharge as e:
             self.infeasible_count += 1
             raise Infeasible(str(e)) from e
         if self.journal is not None:
-            self.journal.append(JournalEntry(now, kind, cost))
+            self.journal.append(
+                JournalEntry(now, kind, self.model.cost_of(msg)))
 
     def _remember(self, now: int, direction: str, size: int) -> None:
         self.history.append(HistoryEntry(now, direction, size))
         while len(self.history) > self.h_cap:
             evicted = self.history.popleft()
-            refund = self.model.buffer_memory(evicted.size)
-            self.budget = self.budget.refund(refund)
+            self._ledger.refund(evicted.size)
             if self.journal is not None:
-                self.journal.append(JournalEntry(now, "refund", refund))
+                self.journal.append(JournalEntry(
+                    now, "refund", self.model.buffer_memory(evicted.size)))
 
     # -- transitions -----------------------------------------------------
 
@@ -495,6 +502,8 @@ class Agent:
         Returns (destination, message) pairs to resend; expired queries
         are recorded in self.timeouts rather than producing traffic.
         """
+        if not self.pending_asks and not self.retransmits:
+            return []
         for cid in sorted(self.pending_asks):
             pa = self.pending_asks[cid]
             if pa.deadline <= now:

@@ -4,7 +4,10 @@ Four resource dimensions are tracked: memory (bytes held), bandwidth
 (bytes moved), cpu (abstract work units), energy (abstract units).
 Quantities are exact rationals so that charge/refund sequences are
 associative and order-independent; floating point would let a long
-simulation drift across the feasibility boundary.
+simulation drift across the feasibility boundary.  An agent keeps its
+budget in a `BudgetLedger`: four integers over one common denominator
+of its budget and cost model, so a charge is integer arithmetic and
+still exact.  `ResourceBudget` is the reference the ledger must equal.
 
 Memory is the only dimension that is refunded: buffering a message
 charges memory transiently and evicting it from the history ring
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .schema import Config
@@ -189,11 +193,18 @@ class CostModel(Config):
     buffer_per_byte: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
+        coefficients = []
         for name in self.__dataclass_fields__:
             v = _frac(getattr(self, name))
             if v < 0:
                 raise NegativeResource(f"{name}={v} is negative")
             object.__setattr__(self, name, v)
+            coefficients.append(v)
+        # The coefficients as integers over their least common
+        # denominator, in field order after it; BudgetLedger reads them.
+        d = lcm(*(v.denominator for v in coefficients))
+        object.__setattr__(self, "_scaled", (d, *(
+            v.numerator * (d // v.denominator) for v in coefficients)))
 
     def cost_of_size(self, size: int) -> ResourceVector:
         if size < 0:
@@ -212,6 +223,90 @@ class CostModel(Config):
     def buffer_memory(self, size: int) -> ResourceVector:
         """The transient (refundable) part of the cost."""
         return ResourceVector(memory=self.buffer_per_byte * size)
+
+
+class BudgetLedger:
+    """A `ResourceBudget` charged by message size under a `CostModel`,
+    kept as integers over one common denominator.
+
+    `denominator` is the least common multiple of the model's
+    denominator and those of the budget's limit and remaining, so every
+    cost `a + b * size` and every remaining amount is an exact integer
+    multiple of `1 / denominator`.  `charge` and `refund` behave as
+    `ResourceBudget.charge(model.cost_of_size(size))` and
+    `ResourceBudget.refund(model.buffer_memory(size))`, with the same
+    errors and messages, but change the ledger in place; a refused
+    charge changes nothing.
+    """
+
+    __slots__ = (
+        "model", "denominator",
+        "memory_limit", "bandwidth_limit", "cpu_limit", "energy_limit",
+        "memory", "bandwidth", "cpu", "energy",
+        "_buffer_per_byte", "_per_byte_bandwidth", "_per_byte_cpu",
+        "_per_message_cpu", "_per_byte_energy", "_per_message_energy",
+    )
+
+    def __init__(self, budget: ResourceBudget, model: CostModel) -> None:
+        amounts = budget.limit.as_tuple() + budget.remaining.as_tuple()
+        d_model, *coefficients = model._scaled
+        d = lcm(d_model, *[x.denominator for x in amounts])
+        k = d // d_model
+        (self._per_byte_bandwidth, self._per_byte_cpu, self._per_message_cpu,
+         self._per_byte_energy, self._per_message_energy,
+         self._buffer_per_byte) = [c * k for c in coefficients]
+        (self.memory_limit, self.bandwidth_limit, self.cpu_limit,
+         self.energy_limit, self.memory, self.bandwidth, self.cpu,
+         self.energy) = [x.numerator * (d // x.denominator) for x in amounts]
+        self.model = model
+        self.denominator = d
+
+    def _vector(self, memory, bandwidth, cpu, energy) -> ResourceVector:
+        d = self.denominator
+        return ResourceVector(Fraction(memory, d), Fraction(bandwidth, d),
+                              Fraction(cpu, d), Fraction(energy, d))
+
+    @property
+    def remaining(self) -> ResourceVector:
+        return self._vector(self.memory, self.bandwidth, self.cpu, self.energy)
+
+    @property
+    def budget(self) -> ResourceBudget:
+        return ResourceBudget(
+            self._vector(self.memory_limit, self.bandwidth_limit,
+                         self.cpu_limit, self.energy_limit),
+            self.remaining,
+        )
+
+    def charge(self, size: int) -> None:
+        """Pay for one message of `size` wire bytes, or raise
+        InfeasibleCharge and change nothing."""
+        if size < 0:
+            raise ValueError("negative message size")
+        memory = self._buffer_per_byte * size
+        bandwidth = self._per_byte_bandwidth * size
+        cpu = self._per_message_cpu + self._per_byte_cpu * size
+        energy = self._per_message_energy + self._per_byte_energy * size
+        if (memory > self.memory or bandwidth > self.bandwidth
+                or cpu > self.cpu or energy > self.energy):
+            raise InfeasibleCharge(
+                f"cost {self.model.cost_of_size(size).as_floats()} exceeds "
+                f"remaining {self.remaining.as_floats()}"
+            )
+        self.memory -= memory
+        self.bandwidth -= bandwidth
+        self.cpu -= cpu
+        self.energy -= energy
+
+    def refund(self, size: int) -> None:
+        """Return the buffer memory of one evicted message of `size`
+        wire bytes, a size charged before; a model without buffer
+        memory refunds nothing."""
+        if self._buffer_per_byte:
+            memory = self.memory + self._buffer_per_byte * size
+            if memory > self.memory_limit:
+                raise ResourceError("refund exceeds amount spent")
+            self.memory = memory
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,12 @@ PAYLOAD_LIMIT = 0xFFFF      # payload_len is two bytes
 MIN_MESSAGE_SIZE = 11
 HEADER_SIZE = 8
 
-# Largest value of each header field (all start at 0), in check order.
-_HEADER_RANGES = (("version", 0xF), ("qos", 3), ("flags", 0xFF),
-                  ("message_id", 0xFFFF), ("sequence", 0xFFFF),
-                  ("correlation_id", 0xFFFF))
+# Smallest and largest value of each header field, in check order.  The
+# version nibble could encode 0..15, but only PROTOCOL_VERSION decodes.
+_HEADER_RANGES = (("version", PROTOCOL_VERSION, PROTOCOL_VERSION),
+                  ("qos", 0, 3), ("flags", 0, 0xFF),
+                  ("message_id", 0, 0xFFFF), ("sequence", 0, 0xFFFF),
+                  ("correlation_id", 0, 0xFFFF))
 _CODE_MAX = 0xFF            # option type is one byte
 U32_MAX = 0xFFFFFFFF        # numeric option values are four bytes
 
@@ -156,9 +158,9 @@ _new = tuple.__new__
 def _header_faults(verb, qos, flags, message_id, sequence, correlation_id,
                    version):
     values = (version, qos, flags, message_id, sequence, correlation_id)
-    for (name, hi), value in zip(_HEADER_RANGES, values):
-        if not 0 <= value <= hi:
-            yield FieldRange(f"{name} {value} not in 0..{hi}")
+    for (name, lo, hi), value in zip(_HEADER_RANGES, values):
+        if not lo <= value <= hi:
+            yield FieldRange(f"{name} {value} not in {lo}..{hi}")
     if verb not in _VERB_OF:
         yield FieldRange(f"verb {verb} not in 0..3", "verb")
 
@@ -411,17 +413,14 @@ def check_wellformed(
 ) -> list[Violation]:
     """Evaluate every well-formedness clause over raw field values.
 
-    The rules are the ones the value constructors apply, plus the
-    version decode requires; but where a constructor raises the first
-    violation, this accepts arbitrary integers and reports all of them
-    with the clause each failed, so a single bad artifact can be
-    diagnosed completely.  A message's own options are valid input.
+    The rules are the ones the value constructors apply; but where a
+    constructor raises the first violation, this accepts arbitrary
+    integers and reports all of them with the clause each failed, so a
+    single bad artifact can be diagnosed completely.  A message's own
+    options are valid input.
     """
     out = [Violation(e.clause, str(e)) for e in _header_faults(
         verb, qos, flags, message_id, sequence, correlation_id, version)]
-    if version != PROTOCOL_VERSION:
-        out.append(Violation("header", f"version {version} is not "
-                                       f"{PROTOCOL_VERSION}"))
     for i, (code, value) in enumerate(options):
         out += (Violation(e.clause, f"option {i}: {e}")
                 for e in _option_faults(code, value))

@@ -1,5 +1,7 @@
 """Verb semantics: knowledge updates, auto-replies, timers, buffers."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,12 @@ from muacp.agent import (
     TransitionLabel,
     parse_literal,
 )
-from muacp.resources import CostModel, ResourceBudget, ResourceVector
+from muacp.resources import (
+    CostModel,
+    JournalEntry,
+    ResourceBudget,
+    ResourceVector,
+)
 from muacp.wire import CONTENT_ACTION, CONTENT_LITERAL, OptionType, Verb
 
 
@@ -321,6 +328,81 @@ def test_small_ring_keeps_memory_flat_forever():
     for t in range(200):
         a.send(a.make_ping(), to=2, now=t)
     assert a.memory_level() == 55
+
+
+# -- the budget under a fractional model ----------------------------------------
+
+FRACTIONAL = CostModel(per_byte_bandwidth="2/3", per_message_cpu="5/7",
+                       per_byte_cpu="1/11", buffer_per_byte="1/3")
+
+
+def _snapshot(a):
+    return a.budget, list(a.history), list(a.journal)
+
+
+def test_refused_send_and_receive_leave_the_agent_unchanged():
+    from muacp.agent import Infeasible
+
+    # cpu "12/5" pays for one 11-byte ping (5/7 + 11/11) but not a second
+    limit = ResourceVector.of(1000, 1000, "12/5", 1)
+    a = Agent(1, budget=ResourceBudget.full(limit), model=FRACTIONAL,
+              h_cap=1, journal=True)
+    a.send(a.make_ping(), to=2, now=0)
+    before = _snapshot(a)
+    with pytest.raises(Infeasible):
+        a.send(a.make_ping(), to=2, now=1)
+    assert _snapshot(a) == before
+    with pytest.raises(Infeasible):
+        a.receive(Agent(2).make_ping(), 2, now=2)
+    assert _snapshot(a) == before
+    assert a.infeasible_count == 2
+
+
+def test_journal_records_the_exact_cost_of_every_transition():
+    limit = ResourceVector.of(1000, 10**6, 10**6, 1)
+    a = Agent(1, budget=ResourceBudget.full(limit), model=FRACTIONAL,
+              h_cap=2, journal=True)
+    tell, ping, ask = a.make_tell("p"), Agent(2).make_ping(), a.make_ask("p")
+    a.send(tell, to=2, now=0)
+    a.receive(ping, 2, now=1)
+    a.send(ask, to=2, now=3)                 # evicts the tell
+    cost = FRACTIONAL.cost_of
+    assert a.journal == [
+        JournalEntry(0, "send", cost(tell)),
+        JournalEntry(1, "receive", cost(ping)),
+        JournalEntry(3, "send", cost(ask)),
+        JournalEntry(3, "refund", FRACTIONAL.buffer_memory(tell.wire_size)),
+    ]
+    assert a.journal[0].amount.cpu == Fraction(5, 7) + Fraction(
+        tell.wire_size, 11)
+    # the budget is the exact fold of the journal over its limit
+    expected = ResourceBudget.full(limit)
+    for e in a.journal:
+        if e.kind == "refund":
+            expected = expected.refund(e.amount)
+        else:
+            expected = expected.charge(e.amount)
+    assert a.budget == expected
+
+
+@pytest.mark.parametrize("model", [CostModel(), MEM_MODEL, FRACTIONAL])
+def test_charges_build_no_vectors_without_a_journal(model, monkeypatch):
+    built = []
+    post_init = ResourceVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    a, b = Agent(1, model=model, h_cap=2), Agent(2, model=model, h_cap=2)
+    monkeypatch.setattr(ResourceVector, "__post_init__", counting)
+    for t in range(10):
+        ask = a.send(a.make_ask("p"), 2, t).message
+        for to, reply in b.receive(ask, 1, t):
+            a.receive(b.send(reply, to, t).message, 2, t)
+    assert len(a.history) == 2 and built == []
+    a.budget                                 # reading it builds vectors
+    assert built
 
 
 # -- labels -------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from muacp import wire
 from muacp.resources import (
     BoundCheckReport,
+    BudgetLedger,
     CostModel,
     InfeasibleCharge,
     JournalEntry,
@@ -110,6 +111,61 @@ def test_remaining_never_negative_under_feasible_charges(vs):
                 b.charge(v)
         assert b.remaining >= ResourceVector.zero()
         assert b.spent + b.remaining == b.limit
+
+
+# -- the integer ledger against the exact reference ------------------------------
+
+coefficient_st = st.just(Fraction(0)) | st.builds(
+    Fraction, st.integers(0, 6), st.sampled_from([1, 2, 3, 7, 11, 12])
+)
+model_st = st.builds(
+    CostModel,
+    per_byte_bandwidth=coefficient_st,
+    per_byte_cpu=coefficient_st,
+    per_message_cpu=coefficient_st,
+    per_byte_energy=coefficient_st,
+    per_message_energy=coefficient_st,
+    buffer_per_byte=coefficient_st,
+)
+amount_st = st.builds(
+    Fraction, st.integers(0, 3000), st.sampled_from([1, 2, 5, 9])
+)
+
+
+@st.composite
+def budget_st(draw):
+    limit = [draw(amount_st) for _ in range(4)]
+    left = [x * draw(st.fractions(0, 1, max_denominator=7)) for x in limit]
+    return ResourceBudget(ResourceVector(*limit), ResourceVector(*left))
+
+
+def _attempt(step, arg):
+    """(result, None) or (None, (error type, message))."""
+    try:
+        return step(arg), None
+    except ResourceError as e:
+        return None, (type(e), str(e))
+
+
+@settings(max_examples=300)
+@given(
+    model_st,
+    budget_st(),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 120)), max_size=40),
+)
+def test_ledger_equals_the_exact_budget_fold(model, budget, steps):
+    ledger = BudgetLedger(budget, model)
+    assert ledger.budget == budget
+    for is_charge, size in steps:
+        if is_charge:
+            new, want = _attempt(budget.charge, model.cost_of_size(size))
+            _, got = _attempt(ledger.charge, size)
+        else:
+            new, want = _attempt(budget.refund, model.buffer_memory(size))
+            _, got = _attempt(ledger.refund, size)
+        assert got == want
+        budget = budget if new is None else new
+        assert ledger.budget == budget
 
 
 # -- journal bound checking -----------------------------------------------------
