@@ -519,6 +519,18 @@ class Agent:
                 out.append((rt.to, rt.message))
         return out
 
+    def next_timer(self) -> int | None:
+        """The tick from which fire_timers has work: the earliest
+        pending-ask deadline or retransmission, or None without timers."""
+        at = None
+        if self.pending_asks:
+            at = min([pa.deadline for pa in self.pending_asks.values()])
+        if self.retransmits:
+            rt = min([rt.next_at for rt in self.retransmits.values()])
+            if at is None or rt < at:
+                at = rt
+        return at
+
     def publish(
         self,
         topic: str,

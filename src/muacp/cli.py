@@ -118,7 +118,7 @@ def _parse_seeds(spec: str) -> list[int]:
             seeds = list(range(start, start + count)) if count >= 0 else []
         else:
             seeds = [int(s) for s in spec.split(",") if s]
-    except ValueError:
+    except (ValueError, OverflowError):
         seeds = []
     if not seeds:
         raise UsageError(

@@ -31,7 +31,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .wire import HEADER_SIZE, K_MAX, Message, Verb, decode
+from .wire import (
+    HEADER_SIZE,
+    K_MAX,
+    OPTION_CODE_MAX,
+    OPTION_VALUE_LIMIT,
+    PAYLOAD_LIMIT,
+    Message,
+    Verb,
+    decode,
+)
 
 #: Fixed per-message framing the theoretical encoder pays: the 64-bit
 #: header plus the option-count and payload-length fields (8 + 16 bits).
@@ -82,9 +91,23 @@ class MessageDistribution:
             )
         seen = set()
         for e in entries:
+            if not math.isfinite(e.prob):
+                raise CompressionError(f"probability {e.prob} is not finite")
             if e.prob <= 0:
                 raise CompressionError(f"nonpositive probability {e.prob}")
             Verb(e.verb)
+            for code, length in e.profile:
+                if not 0 <= code <= OPTION_CODE_MAX:
+                    raise CompressionError(
+                        f"option code {code} not in 0..{OPTION_CODE_MAX}")
+                if not 0 <= length <= OPTION_VALUE_LIMIT:
+                    raise CompressionError(
+                        f"option length {length} not in "
+                        f"0..{OPTION_VALUE_LIMIT}")
+            if len(e.payload) > PAYLOAD_LIMIT:
+                raise CompressionError(
+                    f"payload of {len(e.payload)} bytes exceeds "
+                    f"{PAYLOAD_LIMIT}")
             if e.symbol in seen:
                 raise CompressionError(f"duplicate symbol {e.symbol}")
             seen.add(e.symbol)
@@ -151,7 +174,7 @@ class MessageDistribution:
                 )
                 for item in obj["entries"]
             ]
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, OverflowError) as e:
             raise CompressionError(f"bad distribution: {e}") from e
         return cls(entries)
 

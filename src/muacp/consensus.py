@@ -456,6 +456,11 @@ class Participant(BasicNode):
 
     # -- node hooks ---------------------------------------------------
 
+    def next_wake(self, now: int) -> int | None:
+        """Every tick: the detector probes almost every tick at this
+        scale, so exact wake-ups would buy little."""
+        return now + 1
+
     def on_tick(self, net: Network, now: int) -> None:
         super().on_tick(net, now)
         for peer in self.fd.step(now):
@@ -750,8 +755,9 @@ def run_campaign(
         outcome = run_decree(replace(cfg.base, sim=sim))
         runs.append(CampaignRun(seed=seed, outcome=outcome))
         if collect_corpus:
-            for blob in outcome.log.sent_messages():
-                corpus[symbol_of(wire.decode(blob))] += 1
+            for rec in outcome.log.records:
+                if rec.kind == "send":
+                    corpus[symbol_of(rec.message)] += 1
     return runs, corpus
 
 

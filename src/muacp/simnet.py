@@ -8,11 +8,20 @@ may persist).  Loss is fair: a bounded number of consecutive drops of
 the same (channel, message_id) forces the next copy through, so a
 retransmitting sender always gets through eventually.
 
-Each tick proceeds in a fixed order: scheduled crashes, then every
-live node's on_tick in ascending id order, then every delivery due
-this tick in insertion order.  All randomness flows from one seeded
+Each tick proceeds in a fixed order: scheduled crashes, then on_tick of
+every live node due this tick in ascending id order, then every delivery
+due this tick in insertion order.  All randomness flows from one seeded
 generator, so a run is a pure function of (config, node behavior) and
 the event log is byte-identical across reruns.
+
+Nodes are woken by deadline, not polled (Varghese and Lauck's timing
+wheels, with one slot per tick).  `next_wake(now)` names the earliest
+tick above `now` at which a node's on_tick could do anything, or None
+for never; the network asks again after each of the node's on_tick and
+on_deliver calls and after each transmission it sends, so sends made
+from outside the loop are covered too.  A node must therefore report
+every tick at which on_tick has work: on any other tick on_tick must be
+a no-op, and a node that is not sure returns `now + 1` and is polled.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .agent import Agent, Infeasible, TransitionLabel
 from .schema import Config
@@ -55,8 +65,7 @@ class SimConfig(Config):
             raise ValueError("max_consecutive_drops must be at least 1")
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     tick: int
     kind: str  # send | deliver | drop | dup | crash | timer
     sender: int | None = None
@@ -65,34 +74,35 @@ class EventRecord:
     size: int | None = None
     verb: str | None = None
     reason: str | None = None
-    wire: str | None = None  # hex of the encoded message (send records)
+    message: Message | None = None  # the message sent (send records)
+
+    @property
+    def wire(self) -> str | None:
+        """Hex of the encoded message (send records), made on demand."""
+        return None if self.message is None else encode(self.message).hex()
 
     def to_json(self) -> dict:
         return {
             k: v
-            for k, v in (
-                ("tick", self.tick),
-                ("kind", self.kind),
-                ("sender", self.sender),
-                ("receiver", self.receiver),
-                ("uid", self.uid),
-                ("size", self.size),
-                ("verb", self.verb),
-                ("reason", self.reason),
-                ("wire", self.wire),
-            )
+            for k, v in zip(_JSON_KEYS, (*self[:8], self.wire))
             if v is not None
         }
 
 
+_JSON_KEYS = EventRecord._fields[:8] + ("wire",)
+
+
 class SimEventLog:
-    """Append-only record of everything observable in a run."""
+    """Append-only record of everything observable in a run, with a
+    running count of records by kind."""
 
     def __init__(self) -> None:
         self.records: list[EventRecord] = []
+        self.counts: dict[str, int] = {}
 
     def append(self, rec: EventRecord) -> None:
         self.records.append(rec)
+        self.counts[rec.kind] = self.counts.get(rec.kind, 0) + 1
 
     def __len__(self) -> int:
         return len(self.records)
@@ -115,9 +125,9 @@ class SimEventLog:
         """Wire bytes of every send, in order (one entry per fresh
         transmission, including retransmissions)."""
         return [
-            bytes.fromhex(r.wire)
+            encode(r.message)
             for r in self.records
-            if r.kind == "send" and r.wire is not None
+            if r.kind == "send" and r.message is not None
         ]
 
 
@@ -249,6 +259,14 @@ class Network:
         self._gauges: list[TickGauge] = []
         self._max_in_flight = 0
         self._max_queue_depth = 0
+        # Wake-ups: tick -> ids of the nodes due then, and each scheduled
+        # node's tick, so a node can be moved when it is asked again.
+        self._wakes: dict[int, set[int]] = {}
+        self._wake_at: dict[int, int] = {}
+        self._ticked = -1     # latest tick whose node phase has begun
+        self._running = None  # id of the node whose hook is running
+        for aid in self.nodes:
+            self._requery(aid)
 
     # -- sending ---------------------------------------------------------
 
@@ -272,19 +290,11 @@ class Network:
         )
         uid = self._uid
         self._uid += 1
-        data = encode(label.message)
-        self.log.append(
-            EventRecord(
-                tick=now,
-                kind="send",
-                sender=label.sender,
-                receiver=label.receiver,
-                uid=uid,
-                size=len(data),
-                verb=label.message.verb.name,
-                wire=data.hex(),
-            )
-        )
+        msg = label.message
+        self.log.append(EventRecord(
+            now, "send", label.sender, label.receiver, uid, msg.wire_size,
+            msg.verb.name, None, msg,
+        ))
         self._tick_sent += 1
 
         synchronous = now >= cfg.gst
@@ -334,6 +344,9 @@ class Network:
             )
             self._schedule(uid, label, now, synchronous)
             copies += 1
+        # A node sending from its own hook is asked again after it.
+        if label.sender != self._running and label.sender in self.nodes:
+            self._requery(label.sender)
         return copies
 
     def _schedule(
@@ -358,9 +371,30 @@ class Network:
 
     # -- the loop ----------------------------------------------------------
 
+    def _requery(self, aid: int) -> None:
+        """Ask node `aid` for its next wake-up and move it there."""
+        at = self.nodes[aid].next_wake(self._ticked)
+        old = self._wake_at.get(aid)
+        if at == old:
+            return
+        bucket = self._wakes.get(old)
+        if bucket is not None:
+            bucket.discard(aid)
+        if at is None:
+            del self._wake_at[aid]
+            return
+        if at <= self._ticked:
+            raise ValueError(
+                f"node {aid} asked to wake at tick {at}, "
+                f"not after tick {self._ticked}"
+            )
+        self._wake_at[aid] = at
+        self._wakes.setdefault(at, set()).add(aid)
+
     def step(self) -> None:
         """Advance one tick."""
         now = self.now
+        self._ticked = now
         self._sends_this_tick = {}
         self._tick_sent = self._tick_delivered = self._tick_dropped = 0
 
@@ -371,9 +405,12 @@ class Network:
                     EventRecord(tick=now, kind="crash", sender=aid)
                 )
 
-        for aid in sorted(self.nodes):
+        for aid in sorted(self._wakes.pop(now, ())):
             if aid not in self.crashed:
+                self._running = aid
                 self.nodes[aid].on_tick(self, now)
+                self._running = None
+                self._requery(aid)
 
         for delivery in self._queue.pop(now, ()):
             self._unpend(delivery)
@@ -391,20 +428,17 @@ class Network:
                 )
                 self._tick_dropped += 1
                 continue
-            self.log.append(
-                EventRecord(
-                    tick=now,
-                    kind="deliver",
-                    sender=label.sender,
-                    receiver=label.receiver,
-                    uid=delivery.uid,
-                    size=label.message.wire_size,
-                    verb=label.message.verb.name,
-                )
-            )
+            msg = label.message
+            self.log.append(EventRecord(
+                now, "deliver", label.sender, label.receiver, delivery.uid,
+                msg.wire_size, msg.verb.name,
+            ))
             self._tick_delivered += 1
             self._latencies.append(now - delivery.send_tick)
+            self._running = label.receiver
             self.nodes[label.receiver].on_deliver(self, label, now)
+            self._running = None
+            self._requery(label.receiver)
 
         backlog = max(self._pending_per_receiver.values(), default=0)
         self._max_in_flight = max(self._max_in_flight, self._pending_total)
@@ -438,17 +472,14 @@ class Network:
         return self._pending_total == 0
 
     def metrics(self, tick_ms: float = 1.0) -> MetricsReport:
-        counts = {"send": 0, "deliver": 0, "drop": 0, "dup": 0, "crash": 0}
-        for r in self.log.records:
-            if r.kind in counts:
-                counts[r.kind] += 1
+        counts = self.log.counts
         return MetricsReport(
             ticks=self.now,
-            sends=counts["send"],
-            delivers=counts["deliver"],
-            drops=counts["drop"],
-            dups=counts["dup"],
-            crashes=counts["crash"],
+            sends=counts.get("send", 0),
+            delivers=counts.get("deliver", 0),
+            drops=counts.get("drop", 0),
+            dups=counts.get("dup", 0),
+            crashes=counts.get("crash", 0),
             max_in_flight=self._max_in_flight,
             max_queue_depth=self._max_queue_depth,
             latencies=self._latencies,
@@ -465,6 +496,12 @@ class BasicNode:
         self.agent = agent
         self.id = agent.id
         self._timeouts_seen = 0
+
+    def next_wake(self, now: int) -> int | None:
+        """The earliest tick above `now` at which on_tick could do
+        anything, or None: here, when the agent's next timer is due."""
+        at = self.agent.next_timer()
+        return None if at is None else max(at, now + 1)
 
     def on_tick(self, net: Network, now: int) -> None:
         resends = self.agent.fire_timers(now)

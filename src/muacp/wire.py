@@ -48,6 +48,7 @@ PROTOCOL_VERSION = 1
 OPTIONS_LIMIT = 1024        # total bytes of the encoded options section
 OPTION_VALUE_LIMIT = OPTIONS_LIMIT - 3
 OPTION_COUNT_LIMIT = 255    # option_count is one byte
+OPTION_CODE_MAX = 0xFF      # option type is one byte
 PAYLOAD_LIMIT = 0xFFFF      # payload_len is two bytes
 MIN_MESSAGE_SIZE = 11
 HEADER_SIZE = 8
@@ -58,7 +59,6 @@ _HEADER_RANGES = (("version", PROTOCOL_VERSION, PROTOCOL_VERSION),
                   ("qos", 0, 3), ("flags", 0, 0xFF),
                   ("message_id", 0, 0xFFFF), ("sequence", 0, 0xFFFF),
                   ("correlation_id", 0, 0xFFFF))
-_CODE_MAX = 0xFF            # option type is one byte
 U32_MAX = 0xFFFFFFFF        # numeric option values are four bytes
 
 # Flag bits (byte 1 of the header).
@@ -166,8 +166,9 @@ def _header_faults(verb, qos, flags, message_id, sequence, correlation_id,
 
 
 def _option_faults(code, value):
-    if not 0 <= code <= _CODE_MAX:
-        yield FieldRange(f"option code {code} not in 0..{_CODE_MAX}", "option")
+    if not 0 <= code <= OPTION_CODE_MAX:
+        yield FieldRange(
+            f"option code {code} not in 0..{OPTION_CODE_MAX}", "option")
     if len(value) > OPTION_VALUE_LIMIT:
         yield OversizedOptions(
             f"option value of {len(value)} bytes cannot fit the "

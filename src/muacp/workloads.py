@@ -272,6 +272,36 @@ class ScaleNode(BasicNode):
 
     # -- node hooks ---------------------------------------------------------
 
+    def next_wake(self, now: int) -> int | None:
+        """The earliest of the agent's next timer, this node's next ask
+        tick and an initiator's next round step; the next tick while
+        answers wait to be harvested."""
+        soon = now + 1
+        if self._answers_seen < len(self.agent.answers):
+            return soon
+        at = super().next_wake(now)
+        ask = max(soon, self.offset)
+        ask += (self.offset - ask) % self.cfg.rr_period
+        if ask < self.stop_at and (at is None or ask < at):
+            at = ask
+        if self.initiator:
+            step = self._round_wake(soon)
+            if step is not None and (at is None or step < at):
+                at = step
+        return at
+
+    def _round_wake(self, soon: int) -> int | None:
+        """When `_advance_round` next has work (see its conditions)."""
+        r = self.round
+        if r is None:
+            at = max(soon, self.next_round_at)
+            return at if at < self.stop_at else None
+        if r.awarded is not None:
+            return None  # only the winner's done report, a delivery, is left
+        if len(r.proposals) + len(r.refusals) >= len(r.committee):
+            return soon
+        return max(soon, r.deadline)
+
     def on_tick(self, net: Network, now: int) -> None:
         super().on_tick(net, now)
         self._harvest(now)

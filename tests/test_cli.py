@@ -282,7 +282,8 @@ def test_malformed_scale_config_exits_2(tmp_path, capsys, edit, expected):
     _assert_usage_error(rc, capsys, expected)
 
 
-@pytest.mark.parametrize("spec", ["abc", "1:x", "x:1", "0:-1", "0:0", ",", ""])
+@pytest.mark.parametrize("spec", ["abc", "1:x", "x:1", "0:-1", "0:0", ",", "",
+                                  "0:1000000000000000000000"])
 def test_bad_seeds_spec_exits_2(tmp_path, capsys, spec):
     cfg = small_consensus_config(tmp_path)
     rc = main(["sim-consensus", "--config", str(cfg), "--seeds", spec])
@@ -293,6 +294,13 @@ _PROTOCOL = {
     "name": "p", "roles": ["a", "b"], "states": ["s0"], "initial": "s0",
     "accepting": ["s0"],
 }
+
+
+def _dist(prob: str = "1.0", options: str = "[]",
+          payload: str = '""') -> str:
+    """One-entry distribution file text with raw JSON for three fields."""
+    return ('{"entries": [{"verb": "PING", "prob": %s, "options": %s, '
+            '"payload_hex": %s}]}' % (prob, options, payload))
 
 
 @pytest.mark.parametrize("command, text, expected", [
@@ -310,6 +318,17 @@ _PROTOCOL = {
                  id="dist-not-json"),
     pytest.param("check-bound", "[" * 100_000, "cannot read",
                  id="dist-nested-too-deep"),
+    pytest.param("check-bound", _dist(prob="NaN"),
+                 "probability nan is not finite", id="dist-prob-nan"),
+    pytest.param("check-bound", _dist(options="[[Infinity, 1]]"),
+                 "bad distribution", id="dist-code-infinity"),
+    pytest.param("check-bound", _dist(options="[[3, -5]]"),
+                 "option length -5 not in 0..1021", id="dist-length-negative"),
+    pytest.param("check-bound", _dist(options="[[256, 1]]"),
+                 "option code 256 not in 0..255", id="dist-code-256"),
+    pytest.param("check-bound", _dist(payload='"%s"' % ("00" * 65536)),
+                 "payload of 65536 bytes exceeds 65535",
+                 id="dist-payload-too-long"),
 ])
 def test_malformed_protocol_or_distribution_exits_2(
     tmp_path, capsys, command, text, expected

@@ -1,10 +1,15 @@
 """Single-decree agreement: shapes, acceptor rules, detector, campaigns."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from muacp import consensus, wire
+from muacp.agent import Agent
+from muacp.compression import symbol_of
 from muacp.consensus import (
     Ballot,
     CampaignConfig,
@@ -13,6 +18,7 @@ from muacp.consensus import (
     FailureDetector,
     NodeConfig,
     NodeState,
+    Participant,
     acceptor_accept,
     acceptor_prepare,
     choose_value,
@@ -313,6 +319,54 @@ def test_campaign_rows_and_corpus():
         # a crash can cut an exchange short; a quorum still needs most of it
         assert row["core_messages"] >= 8
     assert sum(corpus.values()) > 0
+
+
+def test_campaign_corpus_counts_every_sent_message():
+    base = DecreeConfig(
+        n=5,
+        sim=SimConfig(seed=0, gst=50, delta=5, drop_rate=0.03, dup_rate=0.02),
+    )
+    cfg = CampaignConfig(base=base, seeds=(0, 1, 2), crash_count=2)
+    runs, corpus = run_campaign(cfg, collect_corpus=True)
+    decoded = Counter(
+        symbol_of(wire.decode(blob))
+        for run in runs
+        for blob in run.outcome.log.sent_messages()
+    )
+    assert corpus == decoded
+    assert sum(corpus.values()) == sum(
+        run.outcome.log.counts["send"] for run in runs)
+
+
+class PolledParticipant(Participant):
+    """Test-only: woken every tick whatever `Participant.next_wake` says."""
+
+    def next_wake(self, now: int) -> int:
+        return now + 1
+
+
+#: SHA-256 of the decree's event log and gauges below, as written when
+#: every node was still polled every tick.
+DECREE_LOG_SHA256 = (
+    "71548b43a24e7fc4befd4772b8b03b3a016e8f7ecd758ba9bec7120725f4aba1"
+)
+
+
+@pytest.mark.parametrize("node_class", [Participant, PolledParticipant])
+def test_decree_with_crashes_and_duplicates_is_unchanged(node_class):
+    n = 5
+    parts = [node_class(Agent(i), list(range(n)), [0, 1]) for i in range(n)]
+    net = Network(
+        SimConfig(seed=11, gst=60, delta=5, drop_rate=0.05, dup_rate=0.05,
+                  fault_schedule=((0, 15), (3, 30))),
+        parts,
+    )
+    net.run(300)
+    assert net.log.counts["dup"] > 0 and net.log.counts["crash"] == 2
+    assert {p.state.decided for p in parts if p.id not in net.crashed} == {
+        b"v0"}
+    out = net.log.to_jsonl() + net.metrics().gauges_csv()
+    assert hashlib.sha256(out.encode()).hexdigest() == DECREE_LOG_SHA256
 
 
 def test_campaign_config_seed_range_form():

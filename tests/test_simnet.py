@@ -1,11 +1,22 @@
-"""Event loop: determinism, loss, duplication, delays, crashes, metrics."""
+"""Event loop: determinism, loss, duplication, delays, crashes, metrics,
+deadline wake-ups."""
+
+import hashlib
+import json
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from muacp import workloads
 from muacp.agent import Agent, TransitionLabel
 from muacp.resources import CostModel, ResourceBudget, ResourceVector
 from muacp.simnet import BasicNode, Network, SimConfig, _percentile
-from muacp.wire import Verb
+from muacp.wire import Verb, encode
+from muacp.workloads import ScaleNode, load_scale_config, run_scale
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_net(**overrides) -> Network:
@@ -272,3 +283,134 @@ def test_gauges_csv_has_unit_headers():
         "delivered_msgs,dropped_msgs"
     )
     assert len(lines) == 4
+
+
+def test_log_counts_kinds_as_records_are_appended():
+    net = make_net(seed=4, gst=30, drop_rate=0.3, dup_rate=0.3,
+                   fault_schedule=((2, 20),))
+    node = net.nodes[0]
+    for t in range(40):
+        node.emit(net, 1 + t % 2, node.agent.make_tell(f"x({t})", qos=1),
+                  net.now)
+        net.step()
+    kinds = Counter(r.kind for r in net.log.records)
+    assert net.log.counts == dict(kinds)
+    assert set(kinds) >= {"send", "deliver", "drop", "dup", "crash", "timer"}
+    m = net.metrics()
+    assert (m.sends, m.delivers, m.drops, m.dups, m.crashes) == tuple(
+        kinds[k] for k in ("send", "deliver", "drop", "dup", "crash"))
+
+
+def test_send_record_holds_the_message_and_serializes_its_bytes():
+    net = lossless(seed=1)
+    node = net.nodes[0]
+    msg = node.agent.make_ask("q", qos=1)
+    node.emit(net, 1, msg, net.now)
+    (rec,) = net.log.of_kind("send")
+    data = encode(msg)
+    assert rec.message is msg
+    assert rec.size == len(data)
+    assert rec.wire == data.hex()
+    assert rec.to_json()["wire"] == data.hex()
+    assert net.log.sent_messages() == [data]
+
+
+# -- deadline wake-ups ------------------------------------------------------
+
+
+class _Polled:
+    """Test-only mixin: a node that asks to be woken every tick, as every
+    node was before wake-ups were driven by deadlines."""
+
+    def next_wake(self, now: int) -> int:
+        return now + 1
+
+
+class PolledScaleNode(_Polled, ScaleNode):
+    pass
+
+
+def _scale_outputs(cfg) -> tuple[str, str, str]:
+    report, net = run_scale(cfg)
+    return (
+        net.log.to_jsonl(),
+        net.metrics(cfg.tick_ms).gauges_csv(),
+        json.dumps(report.to_json(), sort_keys=True),
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_woken_nodes_match_nodes_polled_every_tick(monkeypatch, seed):
+    cfg = load_scale_config(str(ROOT / "configs" / "scale_n100.json"))
+    cfg = replace(cfg, seed=seed, sim=replace(cfg.sim, seed=seed))
+    woken = _scale_outputs(cfg)
+    monkeypatch.setattr(workloads, "ScaleNode", PolledScaleNode)
+    assert _scale_outputs(cfg) == woken
+
+
+@pytest.mark.parametrize("edit", [
+    dict(committee=0),        # a round with no members ends next tick
+    dict(rr_deadline=0),      # asks time out on the tick they are sent
+    dict(rr_period=1, round_pause=0, proposal_wait=0, until=100, drain=40),
+], ids=["committee-0", "rr_deadline-0", "every-tick"])
+def test_woken_nodes_match_polled_on_edge_configs(monkeypatch, edit):
+    cfg = workloads.ScaleConfig(
+        **{"n": 20, "until": 200, "drain": 60, "cnet_initiators": 4, **edit})
+    woken = _scale_outputs(cfg)
+    monkeypatch.setattr(workloads, "ScaleNode", PolledScaleNode)
+    assert _scale_outputs(cfg) == woken
+
+
+def test_most_woken_nodes_transmit(monkeypatch):
+    sends = ticks = useful = 0
+    transmit, on_tick = Network.transmit, ScaleNode.on_tick
+
+    def counting_transmit(self, label, now):
+        nonlocal sends
+        sends += 1
+        return transmit(self, label, now)
+
+    def counting_on_tick(self, net, now):
+        nonlocal ticks, useful
+        before = sends
+        on_tick(self, net, now)
+        ticks += 1
+        useful += sends > before
+
+    monkeypatch.setattr(Network, "transmit", counting_transmit)
+    monkeypatch.setattr(ScaleNode, "on_tick", counting_on_tick)
+    cfg = load_scale_config(str(ROOT / "configs" / "scale_n100.json"))
+    run_scale(cfg)
+    assert 0 < ticks < cfg.n * cfg.until
+    assert useful / ticks >= 0.5
+
+
+#: SHA-256 of the event log of the run below, as written when every node
+#: was still polled every tick.
+OUT_OF_LOOP_LOG_SHA256 = (
+    "31d9267fcd5d597afeeaaec3a9d0b7f536f4593a05c6e6add5434a7cd94eee42"
+)
+
+
+def test_send_from_outside_the_loop_wakes_its_sender():
+    # The QoS-1 tell is sent between two runs, not from a node hook; its
+    # retransmissions are due only if transmit asks the sender again.
+    net = Network(SimConfig(seed=3, gst=10**9, drop_rate=0.5),
+                  [BasicNode(Agent(0)), BasicNode(Agent(1))])
+    net.run(5)
+    node = net.nodes[0]
+    node.emit(net, 1, node.agent.make_tell("fact", qos=1), net.now)
+    net.run(200)
+    reasons = [r.reason for r in net.log.of_kind("timer")]
+    assert reasons.count("retransmit") == 3
+    log = net.log.to_jsonl()
+    assert hashlib.sha256(log.encode()).hexdigest() == OUT_OF_LOOP_LOG_SHA256
+
+
+def test_wake_in_the_past_is_rejected():
+    class Stale(BasicNode):
+        def next_wake(self, now):
+            return now
+
+    with pytest.raises(ValueError, match="wake at tick"):
+        Network(SimConfig(seed=0), [Stale(Agent(0))])
