@@ -304,7 +304,7 @@ def cmd_sim_consensus(args, argv) -> int:
 def cmd_sim_scale(args, argv) -> int:
     cfg = _load_config(args.config, ScaleConfig)
     cfg = replace(cfg, tick_ms=_tick_ms(cfg.tick_ms))
-    report, net = run_scale(cfg)
+    report, net = run_scale(cfg, events=args.events)
     summary = report.to_json()
     clean = summary["workload"]["clean"]
     lat = summary["metrics"]["latency_ticks"]

@@ -22,6 +22,14 @@ on_deliver calls and after each transmission it sends, so sends made
 from outside the loop are covered too.  A node must therefore report
 every tick at which on_tick has work: on any other tick on_tick must be
 a no-op, and a node that is not sure returns `now + 1` and is polled.
+
+The network always counts events by kind (`Network.counts`, read by
+`metrics()`), but builds an `EventRecord` per event only when made with
+`events=True`, the default; with `events=False` `net.log` stays empty.
+A send record holds its `Message`, so a run that keeps records keeps
+every message it sent; the scale workload therefore keeps none unless
+its event log is asked for.  Counts, gauges, latencies and the seeded
+outputs built from them are the same either way.
 """
 
 from __future__ import annotations
@@ -34,7 +42,10 @@ from typing import NamedTuple
 
 from .agent import Agent, Infeasible, TransitionLabel
 from .schema import Config
-from .wire import Message, encode
+from .wire import Message, Verb, encode
+
+#: Every event kind, each counted by `Network.counts`.
+KINDS = ("send", "deliver", "drop", "dup", "crash", "timer")
 
 
 @dataclass(frozen=True)
@@ -93,16 +104,11 @@ _JSON_KEYS = EventRecord._fields[:8] + ("wire",)
 
 
 class SimEventLog:
-    """Append-only record of everything observable in a run, with a
-    running count of records by kind."""
+    """Append-only record of everything observable in a run."""
 
     def __init__(self) -> None:
         self.records: list[EventRecord] = []
-        self.counts: dict[str, int] = {}
-
-    def append(self, rec: EventRecord) -> None:
-        self.records.append(rec)
-        self.counts[rec.kind] = self.counts.get(rec.kind, 0) + 1
+        self.append = self.records.append
 
     def __len__(self) -> int:
         return len(self.records)
@@ -229,9 +235,16 @@ class _Delivery:
 
 class Network:
     """The event loop: routes labels between nodes under the configured
-    failure model and records everything."""
+    failure model, counts every event by kind and, with `events`, records
+    each one in `log`."""
 
-    def __init__(self, config: SimConfig, nodes: list["BasicNode"]):
+    def __init__(
+        self,
+        config: SimConfig,
+        nodes: list["BasicNode"],
+        *,
+        events: bool = True,
+    ):
         self.config = config
         self.rng = random.Random(config.seed)
         self.nodes: dict[int, BasicNode] = {}
@@ -239,7 +252,9 @@ class Network:
             if node.id in self.nodes:
                 raise ValueError(f"duplicate node id {node.id}")
             self.nodes[node.id] = node
+        self.events = events
         self.log = SimEventLog()
+        self.counts: dict[str, int] = dict.fromkeys(KINDS, 0)
         self.now = 0
         self.crashed: set[int] = set()
         self._queue: dict[int, list[_Delivery]] = {}
@@ -254,7 +269,6 @@ class Network:
         self._tick_sent = 0
         self._tick_delivered = 0
         self._tick_dropped = 0
-        self._dups = 0
         self._latencies: list[int] = []
         self._gauges: list[TickGauge] = []
         self._max_in_flight = 0
@@ -276,8 +290,23 @@ class Network:
             return True
         return self._sends_this_tick.get(sender, 0) < cap
 
-    def note(self, **fields) -> None:
-        self.log.append(EventRecord(tick=self.now, **fields))
+    def note(
+        self,
+        kind: str,
+        sender: int | None = None,
+        receiver: int | None = None,
+        *,
+        verb: Verb | None = None,
+        reason: str | None = None,
+    ) -> None:
+        """Count one event that is not a send or delivery and, with
+        `events`, record it at the current tick."""
+        self.counts[kind] += 1
+        if self.events:
+            self.log.append(EventRecord(
+                self.now, kind, sender, receiver,
+                verb=None if verb is None else verb.name, reason=reason,
+            ))
 
     def transmit(self, label: TransitionLabel, now: int) -> int:
         """Schedule one transmission (plus a possible duplicate) and
@@ -291,14 +320,17 @@ class Network:
         uid = self._uid
         self._uid += 1
         msg = label.message
-        self.log.append(EventRecord(
-            now, "send", label.sender, label.receiver, uid, msg.wire_size,
-            msg.verb.name, None, msg,
-        ))
+        counts = self.counts
+        counts["send"] += 1
+        if self.events:
+            self.log.append(EventRecord(
+                now, "send", label.sender, label.receiver, uid, msg.wire_size,
+                msg.verb.name, None, msg,
+            ))
         self._tick_sent += 1
 
         synchronous = now >= cfg.gst
-        streak_key = (label.sender, label.receiver, label.message.header.message_id)
+        streak_key = (label.sender, label.receiver, msg.header.message_id)
         copies = 0
         if synchronous:
             dropped = False
@@ -313,16 +345,12 @@ class Network:
             self._drop_streak[streak_key] = (
                 self._drop_streak.get(streak_key, 0) + 1
             )
-            self.log.append(
-                EventRecord(
-                    tick=now,
-                    kind="drop",
-                    sender=label.sender,
-                    receiver=label.receiver,
-                    uid=uid,
+            counts["drop"] += 1
+            if self.events:
+                self.log.append(EventRecord(
+                    now, "drop", label.sender, label.receiver, uid,
                     reason="loss",
-                )
-            )
+                ))
             self._tick_dropped += 1
         else:
             self._drop_streak.pop(streak_key, None)
@@ -332,16 +360,11 @@ class Network:
         if self.rng.random() < cfg.dup_rate:
             # At most one duplicate per transmission; duplicates are
             # never dropped (they model late copies already in flight).
-            self._dups += 1
-            self.log.append(
-                EventRecord(
-                    tick=now,
-                    kind="dup",
-                    sender=label.sender,
-                    receiver=label.receiver,
-                    uid=uid,
-                )
-            )
+            counts["dup"] += 1
+            if self.events:
+                self.log.append(EventRecord(
+                    now, "dup", label.sender, label.receiver, uid,
+                ))
             self._schedule(uid, label, now, synchronous)
             copies += 1
         # A node sending from its own hook is asked again after it.
@@ -401,9 +424,7 @@ class Network:
         for aid in sorted(self._faults.get(now, ())):
             if aid not in self.crashed:
                 self.crashed.add(aid)
-                self.log.append(
-                    EventRecord(tick=now, kind="crash", sender=aid)
-                )
+                self.note("crash", aid)
 
         for aid in sorted(self._wakes.pop(now, ())):
             if aid not in self.crashed:
@@ -412,27 +433,26 @@ class Network:
                 self._running = None
                 self._requery(aid)
 
+        counts, events = self.counts, self.events
         for delivery in self._queue.pop(now, ()):
             self._unpend(delivery)
             label = delivery.label
             if label.receiver in self.crashed:
-                self.log.append(
-                    EventRecord(
-                        tick=now,
-                        kind="drop",
-                        sender=label.sender,
-                        receiver=label.receiver,
-                        uid=delivery.uid,
-                        reason="receiver-crashed",
-                    )
-                )
+                counts["drop"] += 1
+                if events:
+                    self.log.append(EventRecord(
+                        now, "drop", label.sender, label.receiver,
+                        delivery.uid, reason="receiver-crashed",
+                    ))
                 self._tick_dropped += 1
                 continue
-            msg = label.message
-            self.log.append(EventRecord(
-                now, "deliver", label.sender, label.receiver, delivery.uid,
-                msg.wire_size, msg.verb.name,
-            ))
+            counts["deliver"] += 1
+            if events:
+                msg = label.message
+                self.log.append(EventRecord(
+                    now, "deliver", label.sender, label.receiver,
+                    delivery.uid, msg.wire_size, msg.verb.name,
+                ))
             self._tick_delivered += 1
             self._latencies.append(now - delivery.send_tick)
             self._running = label.receiver
@@ -472,14 +492,14 @@ class Network:
         return self._pending_total == 0
 
     def metrics(self, tick_ms: float = 1.0) -> MetricsReport:
-        counts = self.log.counts
+        counts = self.counts
         return MetricsReport(
             ticks=self.now,
-            sends=counts.get("send", 0),
-            delivers=counts.get("deliver", 0),
-            drops=counts.get("drop", 0),
-            dups=counts.get("dup", 0),
-            crashes=counts.get("crash", 0),
+            sends=counts["send"],
+            delivers=counts["deliver"],
+            drops=counts["drop"],
+            dups=counts["dup"],
+            crashes=counts["crash"],
             max_in_flight=self._max_in_flight,
             max_queue_depth=self._max_queue_depth,
             latencies=self._latencies,
@@ -545,7 +565,7 @@ class BasicNode:
         if not net.may_send(self.id):
             net.note(
                 kind="drop", sender=self.id, receiver=to,
-                verb=msg.verb.name, reason="rate-cap",
+                verb=msg.verb, reason="rate-cap",
             )
             return False
         try:
@@ -553,7 +573,7 @@ class BasicNode:
         except Infeasible:
             net.note(
                 kind="drop", sender=self.id, receiver=to,
-                verb=msg.verb.name, reason="infeasible-send",
+                verb=msg.verb, reason="infeasible-send",
             )
             return False
         net.transmit(label, now)

@@ -59,6 +59,10 @@ _HEADER_RANGES = (("version", PROTOCOL_VERSION, PROTOCOL_VERSION),
                   ("qos", 0, 3), ("flags", 0, 0xFF),
                   ("message_id", 0, 0xFFFF), ("sequence", 0, 0xFFFF),
                   ("correlation_id", 0, 0xFFFF))
+# The same bounds by name, for the `Header` constructor's fast path.
+((_, _VERSION_LO, _VERSION_HI), (_, _QOS_LO, _QOS_HI),
+ (_, _FLAGS_LO, _FLAGS_HI), (_, _MID_LO, _MID_HI),
+ (_, _SEQ_LO, _SEQ_HI), (_, _CID_LO, _CID_HI)) = _HEADER_RANGES
 U32_MAX = 0xFFFFFFFF        # numeric option values are four bytes
 
 # Flag bits (byte 1 of the header).
@@ -153,6 +157,9 @@ _new = tuple.__new__
 
 
 # -- the rules: each yields, in check order, the error a constructor raises --
+#
+# A constructor first tests the conjunction of its rules in one expression
+# and runs the generator only when that test fails, to raise its first fault.
 
 
 def _header_faults(verb, qos, flags, message_id, sequence, correlation_id,
@@ -212,8 +219,10 @@ class Option(NamedTuple("Option", [("code", int), ("value", bytes)])):
     __slots__ = ()
 
     def __new__(cls, code: int, value: bytes = b""):
-        for fault in _option_faults(code, value):
-            raise fault
+        if not (0 <= code <= OPTION_CODE_MAX
+                and len(value) <= OPTION_VALUE_LIMIT):
+            for fault in _option_faults(code, value):
+                raise fault
         return _new(cls, (code, value))
 
 
@@ -232,9 +241,16 @@ class Header(NamedTuple("Header", [
     def __new__(cls, verb: Verb | int, qos: int = 0, flags: int = 0,
                 message_id: int = 0, sequence: int = 0,
                 correlation_id: int = 0, version: int = PROTOCOL_VERSION):
-        for fault in _header_faults(verb, qos, flags, message_id, sequence,
-                                    correlation_id, version):
-            raise fault
+        if not (_VERSION_LO <= version <= _VERSION_HI
+                and _QOS_LO <= qos <= _QOS_HI
+                and _FLAGS_LO <= flags <= _FLAGS_HI
+                and _MID_LO <= message_id <= _MID_HI
+                and _SEQ_LO <= sequence <= _SEQ_HI
+                and _CID_LO <= correlation_id <= _CID_HI
+                and verb in _VERB_OF):
+            for fault in _header_faults(verb, qos, flags, message_id,
+                                        sequence, correlation_id, version):
+                raise fault
         return _new(cls, (_VERB_OF[verb], qos, flags, message_id, sequence,
                           correlation_id, version))
 
@@ -269,8 +285,11 @@ class Message(NamedTuple("Message", [
         if not all([type(o) is Option for o in options]):
             raise TypeError("options must be Option values")
         section = _section_size(options)
-        for fault in _body_faults(len(options), section, len(payload)):
-            raise fault
+        if not (len(options) <= OPTION_COUNT_LIMIT
+                and section <= OPTIONS_LIMIT
+                and len(payload) <= PAYLOAD_LIMIT):
+            for fault in _body_faults(len(options), section, len(payload)):
+                raise fault
         return _new(cls, (header, options, payload,
                           HEADER_SIZE + 3 + section + len(payload)))
 

@@ -149,7 +149,6 @@ class ScaleNode(BasicNode):
         self.stats = stats
         self.initiator = initiator
         self.rng = random.Random((cfg.seed << 20) ^ (agent.id * 2654435761))
-        self.peers = [i for i in range(cfg.n) if i != agent.id]
         self.stop_at = cfg.until - cfg.drain
         self.offset = (agent.id * 17) % cfg.rr_period
 
@@ -185,7 +184,9 @@ class ScaleNode(BasicNode):
             return
         if (now - self.offset) % self.cfg.rr_period != 0:
             return
-        peer = self.rng.choice(self.peers)
+        # A uniform peer other than this node, in one draw: k skips our id.
+        k = self.rng.randrange(self.cfg.n - 1)
+        peer = k + (k >= self.id)
         msg = self.agent.make_ask(
             f"job_{self.id}_{now}()",
             kind=wire.CONTENT_ACTION,
@@ -203,7 +204,8 @@ class ScaleNode(BasicNode):
         task = f"task_{self.id}_{self.round_counter}"
         committee = sorted(
             self.rng.sample(
-                [p for p in self.peers if p >= self.cfg.cnet_initiators],
+                [p for p in range(self.cfg.cnet_initiators, self.cfg.n)
+                 if p != self.id],
                 self.cfg.committee,
             )
         )
@@ -398,7 +400,11 @@ class ScaleReport:
         }
 
 
-def build_scale(cfg: ScaleConfig) -> tuple[Network, WorkloadStats]:
+def build_scale(
+    cfg: ScaleConfig, *, events: bool = False
+) -> tuple[Network, WorkloadStats]:
+    """The scale network and its shared stats.  The network keeps event
+    records only with `events` (see `simnet.Network`)."""
     stats = WorkloadStats()
     nodes = [
         ScaleNode(
@@ -409,11 +415,13 @@ def build_scale(cfg: ScaleConfig) -> tuple[Network, WorkloadStats]:
         )
         for i in range(cfg.n)
     ]
-    return Network(cfg.sim, nodes), stats
+    return Network(cfg.sim, nodes, events=events), stats
 
 
-def run_scale(cfg: ScaleConfig) -> tuple[ScaleReport, Network]:
-    net, stats = build_scale(cfg)
+def run_scale(
+    cfg: ScaleConfig, *, events: bool = False
+) -> tuple[ScaleReport, Network]:
+    net, stats = build_scale(cfg, events=events)
     net.run(cfg.until)
     infeasible = sum(
         node.agent.infeasible_count for node in net.nodes.values()

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from muacp.cli import main
+from muacp.workloads import load_scale_config, run_scale
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -143,6 +145,32 @@ def test_sim_scale_smoke(tmp_path):
     assert report["infeasible_events"] == 0
     gauges = (out / "gauges.csv").read_text().splitlines()
     assert gauges[0] == "tick,in_flight_msgs,max_backlog_msgs,sent_msgs,delivered_msgs,dropped_msgs"
+
+
+def test_sim_scale_events_log_is_the_runs_log(tmp_path):
+    p = small_scale_config(tmp_path)
+    obj = json.loads(p.read_text())
+    obj["sim"].update(drop_rate=0.05, dup_rate=0.05)
+    p.write_text(json.dumps(obj))
+    out = tmp_path / "scale"
+    assert main(["sim-scale", "--config", str(p), "--out", str(out),
+                 "--events"]) == 0
+    data = (out / "events.jsonl").read_bytes()
+    assert data
+    cfg = load_scale_config(str(p))
+    report, net = run_scale(cfg, events=True)
+    assert data == net.log.to_jsonl().encode("utf-8")
+    kinds = Counter(json.loads(line)["kind"] for line in data.splitlines())
+    metrics = json.loads((out / "report.json").read_text())["metrics"]
+    assert all(kinds[k] > 0 for k in ("send", "deliver", "drop", "dup"))
+    assert (kinds["send"], kinds["deliver"], kinds["drop"], kinds["dup"]) == (
+        metrics["sends"], metrics["delivers"], metrics["drops"],
+        metrics["dups"])
+    # Without records the run is the same run: same report and gauges.
+    quiet_report, quiet = run_scale(cfg)
+    assert quiet.log.records == []
+    assert quiet_report.to_json() == report.to_json()
+    assert quiet_report.metrics.gauges_csv() == report.metrics.gauges_csv()
 
 
 @pytest.mark.parametrize(

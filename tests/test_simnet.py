@@ -285,7 +285,7 @@ def test_gauges_csv_has_unit_headers():
     assert len(lines) == 4
 
 
-def test_log_counts_kinds_as_records_are_appended():
+def test_network_counts_kinds_as_records_are_appended():
     net = make_net(seed=4, gst=30, drop_rate=0.3, dup_rate=0.3,
                    fault_schedule=((2, 20),))
     node = net.nodes[0]
@@ -294,7 +294,7 @@ def test_log_counts_kinds_as_records_are_appended():
                   net.now)
         net.step()
     kinds = Counter(r.kind for r in net.log.records)
-    assert net.log.counts == dict(kinds)
+    assert net.counts == dict(kinds)
     assert set(kinds) >= {"send", "deliver", "drop", "dup", "crash", "timer"}
     m = net.metrics()
     assert (m.sends, m.delivers, m.drops, m.dups, m.crashes) == tuple(
@@ -331,7 +331,7 @@ class PolledScaleNode(_Polled, ScaleNode):
 
 
 def _scale_outputs(cfg) -> tuple[str, str, str]:
-    report, net = run_scale(cfg)
+    report, net = run_scale(cfg, events=True)
     return (
         net.log.to_jsonl(),
         net.metrics(cfg.tick_ms).gauges_csv(),

@@ -349,18 +349,82 @@ raw_fields_st = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=400)
-@given(raw_fields_st)
-def test_checker_passes_exactly_what_the_constructors_build(fields):
-    reported = {v.clause for v in wire.check_wellformed(**fields)}
+def _assert_constructors_match_checker(fields):
+    # The constructors test each rule in one expression and fall back to
+    # the rule generators only to name the fault, so they must accept
+    # exactly what the checker passes and otherwise raise the checker's
+    # first violation, with the same clause and text.
+    violations = wire.check_wellformed(**fields)
+    where = ""
     try:
-        Message(Header(**{k: fields[k] for k in Header._fields}),
-                [Option(c, v) for c, v in fields["options"]],
-                fields["payload"])
+        header = Header(**{k: fields[k] for k in Header._fields})
+        options = []
+        for i, (code, value) in enumerate(fields["options"]):
+            where = f"option {i}: "
+            options.append(Option(code, value))
+        where = ""
+        Message(header, options, fields["payload"])
     except WireError as e:
-        assert e.clause in reported
+        assert violations, e
+        first = violations[0]
+        assert (e.clause, where + str(e)) == (first.clause, first.detail)
     else:
-        assert reported == set()
+        assert violations == []
+
+
+_VALID_FIELDS = {
+    "version": wire.PROTOCOL_VERSION, "verb": 0, "qos": 0, "flags": 0,
+    "message_id": 0, "sequence": 0, "correlation_id": 0,
+    "options": [], "payload": b"",
+}
+
+
+def _bound_edits() -> list[dict]:
+    """One field each, on a bound or one step to either side of it."""
+    edits = []
+    for name, lo, hi in (*wire._HEADER_RANGES, ("verb", min(Verb), max(Verb))):
+        edits += ({name: v} for v in sorted({lo - 1, lo, lo + 1, hi - 1, hi,
+                                             hi + 1}))
+    for code in (-1, 0, 1, wire.OPTION_CODE_MAX, wire.OPTION_CODE_MAX + 1):
+        edits.append({"options": [(code, b"")]})
+    two = wire.OPTIONS_LIMIT - 6   # value bytes two options may hold
+    for d in (-1, 0, 1):
+        edits += [
+            {"options": [(1, bytes(wire.OPTION_VALUE_LIMIT + d))]},
+            {"options": [(1, bytes(two // 2)), (2, bytes(two - two // 2 + d))]},
+            {"options": [(1, b"")] * (wire.OPTION_COUNT_LIMIT + d)},
+            {"payload": bytes(wire.PAYLOAD_LIMIT + d)},
+        ]
+    return edits
+
+
+def _edit_id(edit: dict) -> str:
+    ((name, value),) = edit.items()
+    if name == "payload":
+        return f"payload-{len(value)}"
+    if name == "options":
+        return (f"options-{len(value)}-code{value[0][0]}-"
+                f"bytes{sum(len(v) for _, v in value)}")
+    return f"{name}={value}"
+
+
+BOUND_EDITS = _bound_edits()
+
+
+@pytest.mark.parametrize("edit", BOUND_EDITS, ids=map(_edit_id, BOUND_EDITS))
+def test_constructors_match_the_checker_at_each_bound(edit):
+    _assert_constructors_match_checker({**_VALID_FIELDS, **edit})
+
+
+@settings(max_examples=800)
+@given(
+    raw_fields_st
+    | st.lists(st.sampled_from(BOUND_EDITS), min_size=1, max_size=4).map(
+        lambda edits: {k: v for e in [_VALID_FIELDS, *edits]
+                       for k, v in e.items()})
+)
+def test_checker_passes_exactly_what_the_constructors_build(fields):
+    _assert_constructors_match_checker(fields)
 
 
 @settings(max_examples=400)
