@@ -24,12 +24,17 @@ Any QoS-1 inbound message that did not already earn a response-flagged
 reply gets a bare acknowledgement (PING response, same correlation id).
 A response-flagged message with a known correlation id cancels the
 retransmission timer and resolves the pending query for that id.
+
+`Literal`, `TransitionLabel` and `HistoryEntry` are immutable tuples
+that equal their plain tuples: `TransitionLabel(1, 2, m) == (1, 2, m)`.
+A label still refuses a sender equal to its receiver.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import wire
 from .resources import (
@@ -54,6 +59,17 @@ from .wire import (
 DEFAULT_HISTORY_CAP = 32
 DEFAULT_COST_MODEL = CostModel()
 
+# Read once here: an enum member or a built option costs far more to
+# look up or make than a module global on the per-message path.
+_PING, _TELL, _ASK, _OBSERVE = Verb
+_CONTENT_TYPE, _DEADLINE, _TOPIC = (
+    OptionType.CONTENT_TYPE, OptionType.DEADLINE, OptionType.TOPIC)
+_LITERAL_BYTES = bytes((CONTENT_LITERAL,))
+_ACTION_BYTES = bytes((CONTENT_ACTION,))
+CT_LITERAL = wire.opt_content_type(CONTENT_LITERAL)
+CT_ACTION = wire.opt_content_type(CONTENT_ACTION)
+_new = tuple.__new__
+
 
 class AgentError(Exception):
     pass
@@ -67,9 +83,11 @@ class BadContent(AgentError):
     """Structurally valid message whose content cannot be interpreted."""
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A ground literal: an atom with a sign.  Atom text is opaque."""
+class Literal(NamedTuple):
+    """A ground literal: an atom with a sign.  Atom text is opaque.
+
+    An immutable tuple that equals its plain tuple:
+    `Literal("p", True) == ("p", True)`."""
 
     atom: str
     positive: bool = True
@@ -92,18 +110,19 @@ def parse_literal(text: str) -> Literal:
     return Literal(text, positive)
 
 
-@dataclass(frozen=True)
-class TransitionLabel:
-    """One directed network transmission.  Self-messages never appear
-    as labels; agents handle those locally."""
+class TransitionLabel(NamedTuple("TransitionLabel", [
+    ("sender", int), ("receiver", int), ("message", Message),
+])):
+    """One directed network transmission, an immutable
+    `(sender, receiver, message)` tuple that equals its plain tuple.
+    Self-messages never appear as labels; agents handle those locally."""
 
-    sender: int
-    receiver: int
-    message: Message
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sender == self.receiver:
+    def __new__(cls, sender: int, receiver: int, message: Message):
+        if sender == receiver:
             raise ValueError("label sender equals receiver")
+        return _new(cls, (sender, receiver, message))
 
     @property
     def channel(self) -> tuple[int, int]:
@@ -126,8 +145,9 @@ class Retransmit:
     attempts: int = 0
 
 
-@dataclass
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
+    """One buffered transmission, an immutable tuple."""
+
     time: int
     direction: str  # "in" | "out"
     size: int
@@ -230,7 +250,7 @@ class Agent:
         )
 
     def make_ping(self, *, cid: int | None = None, qos: int = 0) -> Message:
-        return self.build(Verb.PING, qos=qos, cid=cid)
+        return self.build(_PING, qos=qos, cid=cid)
 
     def make_tell(
         self,
@@ -241,12 +261,11 @@ class Agent:
         response: bool = False,
         topic: str | None = None,
     ) -> Message:
-        opts = [wire.opt_content_type(CONTENT_LITERAL)]
-        if topic is not None:
-            opts.append(wire.opt_topic(topic))
+        opts = (CT_LITERAL,) if topic is None else (
+            CT_LITERAL, wire.opt_topic(topic))
         return self.build(
-            Verb.TELL,
-            options=tuple(opts),
+            _TELL,
+            options=opts,
             payload=parse_literal(literal_text).text().encode("utf-8"),
             qos=qos,
             flags=FLAG_RESPONSE if response else 0,
@@ -262,12 +281,14 @@ class Agent:
         qos: int = 0,
         deadline: int | None = None,
     ) -> Message:
-        opts = [wire.opt_content_type(kind)]
-        if deadline is not None:
-            opts.append(wire.opt_deadline(deadline))
+        ct = (CT_LITERAL if kind == CONTENT_LITERAL
+              else CT_ACTION if kind == CONTENT_ACTION
+              else wire.opt_content_type(kind))
+        opts = (ct,) if deadline is None else (
+            ct, wire.opt_deadline(deadline))
         return self.build(
-            Verb.ASK,
-            options=tuple(opts),
+            _ASK,
+            options=opts,
             payload=content.encode("utf-8"),
             qos=qos,
             cid=cid,
@@ -277,7 +298,7 @@ class Agent:
         self, topic: str, *, cid: int | None = None, qos: int = 0
     ) -> Message:
         return self.build(
-            Verb.OBSERVE, options=(wire.opt_topic(topic),), qos=qos, cid=cid
+            _OBSERVE, options=(wire.opt_topic(topic),), qos=qos, cid=cid
         )
 
     # -- resource accounting --------------------------------------------
@@ -298,9 +319,12 @@ class Agent:
                 JournalEntry(now, kind, self.model.cost_of(msg)))
 
     def _remember(self, now: int, direction: str, size: int) -> None:
-        self.history.append(HistoryEntry(now, direction, size))
-        while len(self.history) > self.h_cap:
-            evicted = self.history.popleft()
+        history = self.history
+        # tuple.__new__ builds the same entry without a Python-level call.
+        history.append(_new(HistoryEntry, (now, direction, size)))
+        # One entry in, so at most one out: the ring is never over cap.
+        if len(history) > self.h_cap:
+            evicted = history.popleft()
             self._ledger.refund(evicted.size)
             if self.journal is not None:
                 self.journal.append(JournalEntry(
@@ -323,15 +347,15 @@ class Agent:
         self._remember(now, "out", msg.wire_size)
         h = msg.header
         if fresh:
-            if h.qos >= 1 and not h.is_response:
+            if h.qos >= 1 and not h.flags & FLAG_RESPONSE:
                 self.retransmits[h.correlation_id] = Retransmit(
                     to=to,
                     message=msg,
                     interval=self.retransmit_interval,
                     next_at=now + self.retransmit_interval,
                 )
-            if h.verb == Verb.ASK and msg.has(OptionType.CONTENT_TYPE):
-                dl = msg.find(OptionType.DEADLINE)
+            if h.verb == _ASK and msg.find(_CONTENT_TYPE) is not None:
+                dl = msg.find(_DEADLINE)
                 timeout = (
                     wire.decode_u32(dl.value) if dl else self.ask_timeout
                 )
@@ -340,7 +364,8 @@ class Agent:
                     query=msg.payload.decode("utf-8", "replace"),
                     deadline=now + timeout,
                 )
-        return TransitionLabel(self.id, to, msg)
+        # Built unchecked: `to != self.id` was checked above.
+        return _new(TransitionLabel, (self.id, to, msg))
 
     def receive(
         self, msg: Message, sender: int, now: int
@@ -351,39 +376,32 @@ class Agent:
         self._charge(msg, "receive", now)
         self._remember(now, "in", msg.wire_size)
         h = msg.header
-        replies: list[tuple[int, Message]] = []
+        response = h.flags & FLAG_RESPONSE
+        cid = h.correlation_id
 
-        if h.is_response:
-            cid = h.correlation_id
+        if response:
             self.retransmits.pop(cid, None)
             if cid in self.pending_asks:
                 del self.pending_asks[cid]
                 self.answers.append((cid, msg))
 
         try:
-            replies.extend(self._apply(msg, sender, now))
+            replies = self._apply(msg, sender, now)
         except BadContent as e:
-            if not h.is_response:
-                replies.append((sender, self._error_reply(h, str(e))))
+            replies = [] if response else [
+                (sender, self._error_reply(h, str(e)))]
 
         if (
             h.qos >= 1
-            and not h.is_response
+            and not response
             and not any(
-                r.header.is_response
-                and r.header.correlation_id == h.correlation_id
+                r.header.flags & FLAG_RESPONSE
+                and r.header.correlation_id == cid
                 for _, r in replies
             )
         ):
             replies.append(
-                (
-                    sender,
-                    self.build(
-                        Verb.PING,
-                        flags=FLAG_RESPONSE,
-                        cid=h.correlation_id,
-                    ),
-                )
+                (sender, self.build(_PING, flags=FLAG_RESPONSE, cid=cid))
             )
         return replies
 
@@ -404,36 +422,31 @@ class Agent:
         h = msg.header
         verb = h.verb
 
-        if verb == Verb.PING:
-            if h.is_response or h.is_error:
+        if verb == _PING:
+            if h.flags & (FLAG_RESPONSE | FLAG_ERROR):
                 return []
             return [
-                (
-                    sender,
-                    self.build(
-                        Verb.PING, flags=FLAG_RESPONSE, cid=h.correlation_id
-                    ),
-                )
+                (sender, self.build(
+                    _PING, flags=FLAG_RESPONSE, cid=h.correlation_id))
             ]
 
-        if verb == Verb.TELL:
-            ct = msg.find(OptionType.CONTENT_TYPE)
-            if ct is not None and ct.value == bytes((CONTENT_LITERAL,)):
+        if verb == _TELL:
+            if msg.find(_CONTENT_TYPE) == CT_LITERAL:
                 self.kb_insert(self._payload_literal(msg))
             return []
 
-        if verb == Verb.ASK:
-            ct = msg.find(OptionType.CONTENT_TYPE)
+        if verb == _ASK:
+            ct = msg.find(_CONTENT_TYPE)
             if ct is None:
                 # Application-level request (consensus, negotiation);
                 # the embedding decides the reply.
                 return []
-            if ct.value == bytes((CONTENT_LITERAL,)):
+            if ct.value == _LITERAL_BYTES:
                 query = self._payload_literal(msg)
                 truth = self.kb_lookup(query.atom)
                 if truth is None:
                     reply = self.build(
-                        Verb.TELL,
+                        _TELL,
                         options=(wire.opt_err("unknown"),),
                         payload=msg.payload,
                         flags=FLAG_RESPONSE,
@@ -446,7 +459,7 @@ class Agent:
                         response=True,
                     )
                 return [(sender, reply)]
-            if ct.value == bytes((CONTENT_ACTION,)):
+            if ct.value == _ACTION_BYTES:
                 action = msg.payload.decode("utf-8", "strict")
                 if not action:
                     raise BadContent("empty action")
@@ -462,8 +475,8 @@ class Agent:
                 ]
             raise BadContent(f"unknown content type {ct.value.hex()}")
 
-        if verb == Verb.OBSERVE:
-            topic_opt = msg.find(OptionType.TOPIC)
+        if verb == _OBSERVE:
+            topic_opt = msg.find(_TOPIC)
             if topic_opt is None:
                 raise BadContent("observe without a topic")
             topic = topic_opt.value.decode("utf-8", "strict")
@@ -481,7 +494,7 @@ class Agent:
 
     def _error_reply(self, h: wire.Header, detail: str) -> Message:
         return self.build(
-            Verb.PING,
+            _PING,
             options=(wire.opt_err(detail[:64]),),
             flags=FLAG_RESPONSE | FLAG_ERROR,
             cid=h.correlation_id,
@@ -489,7 +502,7 @@ class Agent:
 
     def _malformed_reply(self, detail: str) -> Message:
         return self.build(
-            Verb.PING,
+            _PING,
             options=(wire.opt_err(detail[:64]),),
             flags=FLAG_RESPONSE | FLAG_ERROR,
         )

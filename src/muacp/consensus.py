@@ -43,38 +43,43 @@ from .agent import Agent, Infeasible
 from .simnet import BasicNode, Network, SimConfig
 from .wire import FLAG_RESPONSE, Message, Option, OptionType, Verb
 
-_BALLOT = struct.Struct(">II")
+_U32_PAIR = struct.Struct(">II")
+# Read once: enum member lookups are slow on the per-message path.
+_PING, _TELL, _ASK = Verb.PING, Verb.TELL, Verb.ASK
+_BALLOT, _VALUE, _CONV, _ERR = (
+    OptionType.BALLOT, OptionType.VALUE, OptionType.CONV, OptionType.ERR)
 
 
-@dataclass(frozen=True, order=True)
-class Ballot:
+class Ballot(NamedTuple):
     """Totally ordered by (round, proposer); proposer ids break ties so
-    distinct proposers can never mint equal ballots."""
+    distinct proposers can never mint equal ballots.  An immutable
+    tuple, so order, equality and hashing are those of the plain
+    `(round, proposer)` tuple."""
 
     round: int
     proposer: int
 
     def encode(self) -> bytes:
-        return _BALLOT.pack(self.round, self.proposer)
+        return _U32_PAIR.pack(*self)
 
     @classmethod
     def decode(cls, data: bytes) -> "Ballot":
         if len(data) != 8:
             raise wire.WireError(f"ballot must be 8 bytes, got {len(data)}")
-        r, p = _BALLOT.unpack(data)
-        return cls(r, p)
+        return cls._make(_U32_PAIR.unpack(data))
 
 
 def opt_ballot(b: Ballot) -> Option:
-    return Option(OptionType.BALLOT, b.encode())
+    return Option(_BALLOT, b.encode())
 
 
 def opt_value(v: bytes) -> Option:
-    return Option(OptionType.VALUE, v)
+    return Option(_VALUE, v)
 
 
-@dataclass(frozen=True)
-class Classified:
+class Classified(NamedTuple):
+    """One consensus message by meaning, an immutable tuple."""
+
     kind: str  # prepare | promise | nack | accept | accepted | decide
     ballot: Ballot | None = None
     prior: tuple[Ballot, bytes] | None = None  # promise's accepted pair
@@ -87,37 +92,38 @@ def classify(msg: Message) -> Classified | None:
     kinds have pairwise distinct verb/flag/option profiles, so no
     conversation state is needed."""
     h = msg.header
-    ballots = msg.find_all(OptionType.BALLOT)
-    value = msg.find(OptionType.VALUE)
-    conv = msg.find(OptionType.CONV)
-    err = msg.find(OptionType.ERR)
+    verb, response = h.verb, h.flags & FLAG_RESPONSE
+    ballots = msg.find_all(_BALLOT)
+    value = msg.find(_VALUE)
+    conv = msg.find(_CONV)
+    err = msg.find(_ERR)
     instance = wire.decode_u32(conv.value) if conv is not None else None
 
-    if h.verb == Verb.ASK and len(ballots) == 1 and not h.is_response:
+    if verb == _ASK and len(ballots) == 1 and not response:
         return Classified(
             "prepare", ballot=Ballot.decode(ballots[0].value),
             instance=instance,
         )
-    if h.verb != Verb.TELL:
+    if verb != _TELL:
         return None
-    if h.is_response and err is not None and len(err.value) == 8:
+    if response and err is not None and len(err.value) == 8:
         return Classified("nack", ballot=Ballot.decode(err.value))
-    if h.is_response and len(ballots) == 2 and value is not None:
+    if response and len(ballots) == 2 and value is not None:
         return Classified(
             "promise",
             ballot=Ballot.decode(ballots[0].value),
             prior=(Ballot.decode(ballots[1].value), value.value),
         )
-    if h.is_response and len(ballots) == 1 and value is None:
+    if response and len(ballots) == 1 and value is None:
         return Classified("promise", ballot=Ballot.decode(ballots[0].value))
-    if h.is_response and len(ballots) == 1 and value is not None:
+    if response and len(ballots) == 1 and value is not None:
         return Classified(
             "accepted",
             ballot=Ballot.decode(ballots[0].value),
             value=value.value,
         )
     if (
-        not h.is_response
+        not response
         and len(ballots) == 1
         and value is not None
     ):
@@ -128,7 +134,7 @@ def classify(msg: Message) -> Classified | None:
             instance=instance,
         )
     if (
-        not h.is_response
+        not response
         and not ballots
         and value is not None
         and conv is not None
@@ -482,12 +488,12 @@ class Participant(BasicNode):
             self._send(net, now, *start_attempt(self.config, s, now))
 
     def on_deliver(self, net: Network, label, now: int) -> None:
-        msg = label.message
+        sender, _, msg = label
         try:
-            replies = self.agent.receive(msg, label.sender, now)
+            replies = self.agent.receive(msg, sender, now)
         except Infeasible:
             net.note(
-                kind="drop", sender=label.sender, receiver=self.id,
+                kind="drop", sender=sender, receiver=self.id,
                 reason="infeasible-receive",
             )
             return
@@ -496,11 +502,12 @@ class Participant(BasicNode):
         c = classify(msg)
         if c is not None:
             self._send(
-                net, now,
-                *step(self.config, self.state, label.sender, c, now),
+                net, now, *step(self.config, self.state, sender, c, now),
             )
-        elif msg.header.verb == Verb.PING and msg.header.is_response:
-            self.fd.on_pong(label.sender, now)
+        else:
+            h = msg.header
+            if h.verb == _PING and h.flags & FLAG_RESPONSE:
+                self.fd.on_pong(sender, now)
 
     def _leader(self) -> int:
         live = [
@@ -525,7 +532,7 @@ class Participant(BasicNode):
         """The wire form of one consensus message (table at the top)."""
         if c.kind == "nack":
             return self.agent.build(
-                Verb.TELL, options=(wire.opt_err(c.ballot.encode()),),
+                _TELL, options=(wire.opt_err(c.ballot.encode()),),
                 flags=FLAG_RESPONSE,
             )
         opts = [opt_ballot(c.ballot)] if c.ballot is not None else []
@@ -535,11 +542,11 @@ class Participant(BasicNode):
             opts.append(opt_value(c.value))
         if c.kind in ("promise", "accepted"):
             return self.agent.build(
-                Verb.TELL, options=tuple(opts), flags=FLAG_RESPONSE
+                _TELL, options=tuple(opts), flags=FLAG_RESPONSE
             )
         opts.append(wire.opt_conv(self.instance))
         return self.agent.build(
-            Verb.ASK if c.kind == "prepare" else Verb.TELL,
+            _ASK if c.kind == "prepare" else _TELL,
             options=tuple(opts),
             qos=1 if c.kind == "decide" else 0,
         )

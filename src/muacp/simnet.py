@@ -30,6 +30,10 @@ A send record holds its `Message`, so a run that keeps records keeps
 every message it sent; the scale workload therefore keeps none unless
 its event log is asked for.  Counts, gauges, latencies and the seeded
 outputs built from them are the same either way.
+
+A transmission travels as its `TransitionLabel`, an immutable
+`(sender, receiver, message)` tuple; the queue holds a plain
+`(uid, label, send_tick)` tuple per copy in flight.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ from .wire import Message, Verb, encode
 
 #: Every event kind, each counted by `Network.counts`.
 KINDS = ("send", "deliver", "drop", "dup", "crash", "timer")
+#: Each verb's name, indexed by the verb: cheaper than `Verb.name`.
+_VERB_NAMES = tuple(v.name for v in Verb)
 
 
 @dataclass(frozen=True)
@@ -226,13 +232,6 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class _Delivery:
-    uid: int
-    label: TransitionLabel
-    send_tick: int
-
-
 class Network:
     """The event loop: routes labels between nodes under the configured
     failure model, counts every event by kind and, with `events`, records
@@ -257,7 +256,8 @@ class Network:
         self.counts: dict[str, int] = dict.fromkeys(KINDS, 0)
         self.now = 0
         self.crashed: set[int] = set()
-        self._queue: dict[int, list[_Delivery]] = {}
+        # due tick -> (uid, label, send tick) of each copy, in send order
+        self._queue: dict[int, list[tuple[int, TransitionLabel, int]]] = {}
         self._faults: dict[int, list[int]] = {}
         for aid, tick in config.fault_schedule:
             self._faults.setdefault(tick, []).append(aid)
@@ -305,32 +305,31 @@ class Network:
         if self.events:
             self.log.append(EventRecord(
                 self.now, kind, sender, receiver,
-                verb=None if verb is None else verb.name, reason=reason,
+                verb=None if verb is None else _VERB_NAMES[verb],
+                reason=reason,
             ))
 
     def transmit(self, label: TransitionLabel, now: int) -> int:
         """Schedule one transmission (plus a possible duplicate) and
         log the send.  Returns the copy count actually scheduled."""
-        if label.sender in self.crashed:
-            raise RuntimeError(f"crashed agent {label.sender} cannot send")
+        sender, receiver, msg = label
+        if sender in self.crashed:
+            raise RuntimeError(f"crashed agent {sender} cannot send")
         cfg = self.config
-        self._sends_this_tick[label.sender] = (
-            self._sends_this_tick.get(label.sender, 0) + 1
-        )
+        self._sends_this_tick[sender] = self._sends_this_tick.get(sender, 0) + 1
         uid = self._uid
         self._uid += 1
-        msg = label.message
         counts = self.counts
         counts["send"] += 1
         if self.events:
             self.log.append(EventRecord(
-                now, "send", label.sender, label.receiver, uid, msg.wire_size,
-                msg.verb.name, None, msg,
+                now, "send", sender, receiver, uid, msg.wire_size,
+                _VERB_NAMES[msg.header.verb], None, msg,
             ))
         self._tick_sent += 1
 
         synchronous = now >= cfg.gst
-        streak_key = (label.sender, label.receiver, msg.header.message_id)
+        streak_key = (sender, receiver, msg.header.message_id)
         copies = 0
         if synchronous:
             dropped = False
@@ -348,8 +347,7 @@ class Network:
             counts["drop"] += 1
             if self.events:
                 self.log.append(EventRecord(
-                    now, "drop", label.sender, label.receiver, uid,
-                    reason="loss",
+                    now, "drop", sender, receiver, uid, reason="loss",
                 ))
             self._tick_dropped += 1
         else:
@@ -363,13 +361,13 @@ class Network:
             counts["dup"] += 1
             if self.events:
                 self.log.append(EventRecord(
-                    now, "dup", label.sender, label.receiver, uid,
+                    now, "dup", sender, receiver, uid,
                 ))
             self._schedule(uid, label, now, synchronous)
             copies += 1
         # A node sending from its own hook is asked again after it.
-        if label.sender != self._running and label.sender in self.nodes:
-            self._requery(label.sender)
+        if sender != self._running and sender in self.nodes:
+            self._requery(sender)
         return copies
 
     def _schedule(
@@ -380,17 +378,10 @@ class Network:
             delay = self.rng.randint(1, cfg.delta)
         else:
             delay = self.rng.randint(cfg.delay_min, cfg.delay_max)
-        self._queue.setdefault(now + delay, []).append(
-            _Delivery(uid, label, now)
-        )
+        self._queue.setdefault(now + delay, []).append((uid, label, now))
         self._pending_total += 1
         r = label.receiver
         self._pending_per_receiver[r] = self._pending_per_receiver.get(r, 0) + 1
-
-    def _unpend(self, delivery: _Delivery) -> None:
-        self._pending_total -= 1
-        r = delivery.label.receiver
-        self._pending_per_receiver[r] -= 1
 
     # -- the loop ----------------------------------------------------------
 
@@ -433,32 +424,33 @@ class Network:
                 self._running = None
                 self._requery(aid)
 
-        counts, events = self.counts, self.events
-        for delivery in self._queue.pop(now, ()):
-            self._unpend(delivery)
-            label = delivery.label
-            if label.receiver in self.crashed:
+        counts, events, crashed = self.counts, self.events, self.crashed
+        pending = self._pending_per_receiver
+        for uid, label, send_tick in self._queue.pop(now, ()):
+            sender, receiver, msg = label
+            self._pending_total -= 1
+            pending[receiver] -= 1
+            if receiver in crashed:
                 counts["drop"] += 1
                 if events:
                     self.log.append(EventRecord(
-                        now, "drop", label.sender, label.receiver,
-                        delivery.uid, reason="receiver-crashed",
+                        now, "drop", sender, receiver, uid,
+                        reason="receiver-crashed",
                     ))
                 self._tick_dropped += 1
                 continue
             counts["deliver"] += 1
             if events:
-                msg = label.message
                 self.log.append(EventRecord(
-                    now, "deliver", label.sender, label.receiver,
-                    delivery.uid, msg.wire_size, msg.verb.name,
+                    now, "deliver", sender, receiver, uid, msg.wire_size,
+                    _VERB_NAMES[msg.header.verb],
                 ))
             self._tick_delivered += 1
-            self._latencies.append(now - delivery.send_tick)
-            self._running = label.receiver
-            self.nodes[label.receiver].on_deliver(self, label, now)
+            self._latencies.append(now - send_tick)
+            self._running = receiver
+            self.nodes[receiver].on_deliver(self, label, now)
             self._running = None
-            self._requery(label.receiver)
+            self._requery(receiver)
 
         backlog = max(self._pending_per_receiver.values(), default=0)
         self._max_in_flight = max(self._max_in_flight, self._pending_total)
@@ -540,11 +532,12 @@ class BasicNode:
             self.emit(net, to, msg, now, fresh=False)
 
     def on_deliver(self, net: Network, label: TransitionLabel, now: int) -> None:
+        sender, _, msg = label
         try:
-            replies = self.agent.receive(label.message, label.sender, now)
+            replies = self.agent.receive(msg, sender, now)
         except Infeasible:
             net.note(
-                kind="drop", sender=label.sender, receiver=self.id,
+                kind="drop", sender=sender, receiver=self.id,
                 reason="infeasible-receive",
             )
             return

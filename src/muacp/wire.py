@@ -184,11 +184,6 @@ def _option_faults(code, value):
         )
 
 
-def _section_size(options) -> int:
-    """Encoded size of an options section: type, length and value each."""
-    return 3 * len(options) + sum([len(value) for _, value in options])
-
-
 def _body_faults(count, section, payload_len):
     if count > OPTION_COUNT_LIMIT:
         yield TooManyOptions(
@@ -282,9 +277,12 @@ class Message(NamedTuple("Message", [
                 options: tuple[Option, ...] | list[Option] = (),
                 payload: bytes = b""):
         options = tuple(options)
-        if not all([type(o) is Option for o in options]):
-            raise TypeError("options must be Option values")
-        section = _section_size(options)
+        # The encoded options section: type, length and value each.
+        section = 3 * len(options)
+        for o in options:
+            if type(o) is not Option:
+                raise TypeError("options must be Option values")
+            section += len(o.value)
         if not (len(options) <= OPTION_COUNT_LIMIT
                 and section <= OPTIONS_LIMIT
                 and len(payload) <= PAYLOAD_LIMIT):
@@ -444,7 +442,7 @@ def check_wellformed(
     for i, (code, value) in enumerate(options):
         out += (Violation(e.clause, f"option {i}: {e}")
                 for e in _option_faults(code, value))
-    section = _section_size(options)
+    section = 3 * len(options) + sum([len(value) for _, value in options])
     out += (Violation(e.clause, str(e))
             for e in _body_faults(len(options), section, len(payload)))
     return out

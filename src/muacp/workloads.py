@@ -26,24 +26,21 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import wire
-from .agent import Agent
+from .agent import CT_LITERAL, Agent
 from .fipa import PROC_CODES, Performative
 from .schema import Config
 from .simnet import BasicNode, MetricsReport, Network, SimConfig
-from .wire import (
-    CONTENT_LITERAL,
-    Message,
-    Option,
-    OptionType,
-    U32_MAX,
-    Verb,
-)
+from .wire import Message, Option, OptionType, U32_MAX, Verb
 
 _PROC_CFP = bytes((PROC_CODES[Performative.CFP],))
 _PROC_PROPOSE = bytes((PROC_CODES[Performative.PROPOSE],))
 _PROC_REFUSE = bytes((PROC_CODES[Performative.REFUSE],))
 _PROC_ACCEPT = bytes((PROC_CODES[Performative.ACCEPT_PROPOSAL],))
 _PROC_REJECT = bytes((PROC_CODES[Performative.REJECT_PROPOSAL],))
+# Read once: enum member lookups are slow on the per-message path.
+_TELL, _ASK = Verb.TELL, Verb.ASK
+_PROC, _CONTENT_TYPE, _CID = (
+    OptionType.PROC, OptionType.CONTENT_TYPE, OptionType.CID)
 
 
 @dataclass(frozen=True)
@@ -71,6 +68,10 @@ class ScaleConfig(Config):
     )
 
     def __post_init__(self) -> None:
+        for name in ("drain", "cnet_initiators", "committee",
+                     "proposal_wait", "round_pause"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
         if self.n < max(10, self.cnet_initiators + self.committee):
             raise ValueError("network too small for the configured pool")
         if self.until <= self.drain:
@@ -223,9 +224,9 @@ class ScaleNode(BasicNode):
         # the round id that groups the conversation.
         for member in committee:
             msg = self.agent.build(
-                Verb.ASK,
+                _ASK,
                 options=(
-                    Option(OptionType.PROC, _PROC_CFP),
+                    Option(_PROC, _PROC_CFP),
                     wire.opt_cid(cid),
                 ),
                 payload=task.encode(),
@@ -256,9 +257,9 @@ class ScaleNode(BasicNode):
             for member in sorted(r.proposals):
                 code = _PROC_ACCEPT if member == winner else _PROC_REJECT
                 msg = self.agent.build(
-                    Verb.TELL,
+                    _TELL,
                     options=(
-                        Option(OptionType.PROC, code),
+                        Option(_PROC, code),
                         wire.opt_cid(r.cid),
                     ),
                     payload=r.task.encode(),
@@ -313,27 +314,25 @@ class ScaleNode(BasicNode):
 
     def on_deliver(self, net: Network, label, now: int) -> None:
         super().on_deliver(net, label, now)
-        msg = label.message
-        proc = msg.find(OptionType.PROC)
+        sender, _, msg = label
+        proc = msg.find(_PROC)
         if proc is not None:
-            self._on_proc(net, proc.value, msg, label.sender, now)
+            self._on_proc(net, proc.value, msg, sender, now)
             return
         if self.initiator and self.round is not None:
-            ct = msg.find(OptionType.CONTENT_TYPE)
             if (
-                msg.header.verb == Verb.TELL
-                and ct is not None
-                and ct.value == bytes((CONTENT_LITERAL,))
+                msg.header.verb == _TELL
+                and msg.find(_CONTENT_TYPE) == CT_LITERAL
                 and msg.payload.decode("utf-8", "replace")
                 == f"done({self.round.task})"
-                and label.sender == self.round.awarded
+                and sender == self.round.awarded
             ):
                 self._complete_round(now)
 
     def _on_proc(
         self, net: Network, code: bytes, msg: Message, sender: int, now: int
     ) -> None:
-        cid_opt = msg.find(OptionType.CID)
+        cid_opt = msg.find(_CID)
         if cid_opt is None or len(cid_opt.value) != 4:
             return
         conv = wire.decode_u32(cid_opt.value)  # round id
@@ -351,9 +350,9 @@ class ScaleNode(BasicNode):
                 task if refuse else f"bid({self.id})"
             ).encode()
             reply = self.agent.build(
-                Verb.TELL,
+                _TELL,
                 options=(
-                    Option(OptionType.PROC, reply_code),
+                    Option(_PROC, reply_code),
                     wire.opt_cid(conv),
                 ),
                 payload=payload,

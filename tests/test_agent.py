@@ -46,6 +46,17 @@ def test_parse_literal_signs():
 def test_literal_text_roundtrip(atom, positive):
     lit = Literal(atom, positive)
     assert parse_literal(lit.text()) == lit
+    assert lit == (atom, positive) and lit.negate() == (atom, not positive)
+
+
+def test_literals_round_trip_through_tell_and_ask():
+    a, b = pair()
+    for text in ("p(a)", "!q(b)"):
+        b.receive(a.make_tell(text), sender=1, now=0)
+    assert b.kb == {"p(a)": True, "q(b)": False}
+    for text, want in (("p(a)", b"p(a)"), ("q(b)", b"!q(b)")):
+        ((_, reply),) = b.receive(a.make_ask(text), sender=1, now=1)
+        assert reply.payload == want
 
 
 # -- ping ------------------------------------------------------------------
@@ -418,6 +429,17 @@ def test_send_produces_transition_label():
 def test_self_loop_labels_rejected():
     with pytest.raises(ValueError):
         TransitionLabel(3, 3, wire.message(Verb.PING))
+
+
+def test_labels_and_history_entries_equal_their_plain_tuples():
+    a = Agent(1)
+    msg = a.make_ping()
+    label = a.send(msg, to=2, now=4)
+    assert label == (1, 2, msg) and hash(label) == hash((1, 2, msg))
+    assert label == TransitionLabel(sender=1, receiver=2, message=msg)
+    sender, receiver, message = label
+    assert (sender, receiver, message) == (1, 2, msg)
+    assert list(a.history) == [(4, "out", msg.wire_size)]
 
 
 def test_fresh_cids_do_not_repeat_quickly():

@@ -302,6 +302,10 @@ def test_malformed_consensus_config_exits_2(tmp_path, capsys, case):
                  id="tick_ms-0"),
     pytest.param(_set("tick_ms", -1.5), "tick_ms must be positive",
                  id="tick_ms--1.5"),
+    *(pytest.param(_set(name, -1), f"{name} must not be negative",
+                   id=f"{name}--1")
+      for name in ("committee", "cnet_initiators", "proposal_wait",
+                   "round_pause", "drain")),
 ])
 def test_malformed_scale_config_exits_2(tmp_path, capsys, edit, expected):
     p = small_scale_config(tmp_path)

@@ -339,6 +339,21 @@ def _scale_outputs(cfg) -> tuple[str, str, str]:
     )
 
 
+#: SHA-256 of `_scale_outputs` on scale_n100 (event log, gauges and
+#: report, concatenated), as written before the per-message records
+#: became tuples.  The woken-versus-polled tests below compare two
+#: variants of the same code; this pin also catches a drift both share.
+SCALE_N100_SHA256 = (
+    "87214bb6b2f01286b387c264b8a3f5b8d59c8943bd82cfb207244d3fae31a899"
+)
+
+
+def test_scale_n100_outputs_are_pinned():
+    cfg = load_scale_config(str(ROOT / "configs" / "scale_n100.json"))
+    outputs = "".join(_scale_outputs(cfg)).encode()
+    assert hashlib.sha256(outputs).hexdigest() == SCALE_N100_SHA256
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_woken_nodes_match_nodes_polled_every_tick(monkeypatch, seed):
     cfg = load_scale_config(str(ROOT / "configs" / "scale_n100.json"))
