@@ -8,7 +8,10 @@
     muacp validate       VECTOR.hex ...
 
 Exit codes: 0 success, 1 a check or simulation found a violation,
-2 unusable input (missing file, malformed JSON or config, bad --seeds).
+2 unusable input (missing file, malformed JSON or input file, bad
+--seeds, a protocol whose traces outgrow the enumeration cap).  Every
+input file, be it a config, protocol or distribution, is read by the
+typed reader in schema.py, and its errors name the field path.
 
 Every command that takes --out writes a manifest.json naming the run's
 inputs, seeds, and outputs.  The manifest (and bench-codec's
@@ -35,7 +38,7 @@ from . import __version__, compression, wire
 from .consensus import CampaignConfig, run_campaign
 from .fipa import (
     ConversationAutomaton,
-    FipaError,
+    TooLarge,
     check_trace_inclusion,
     procedural_bound_check,
 )
@@ -338,12 +341,12 @@ def cmd_check_traces(args, argv) -> int:
     results = []
     ok = True
     for path in args.protocols:
+        auto = _load_config(path, ConversationAutomaton)
         try:
-            auto = ConversationAutomaton.from_json(_load_json(path))
-        except FipaError as e:
+            inclusion = check_trace_inclusion(auto, max_len=args.max_len)
+            bound = procedural_bound_check(auto)
+        except TooLarge as e:
             raise UsageError(f"{path}: {e}") from e
-        inclusion = check_trace_inclusion(auto, max_len=args.max_len)
-        bound = procedural_bound_check(auto)
         results.append(
             {
                 "protocol": auto.name,
@@ -381,10 +384,7 @@ def cmd_check_bound(args, argv) -> int:
     reports = []
     ok = True
     for path in args.distributions:
-        try:
-            dist = compression.MessageDistribution.from_json(_load_json(path))
-        except compression.CompressionError as e:
-            raise UsageError(f"{path}: {e}") from e
+        dist = _load_config(path, compression.MessageDistribution)
         rep = compression.check_bound(dist)
         reports.append({"path": path, **rep.to_json()})
         ok = ok and rep.ok

@@ -21,6 +21,12 @@ gap is the price of byte alignment and explicit length fields, and on
 degenerate distributions (say, a single message repeated forever) it
 can go negative because fixed framing still carries bits the entropy
 code no longer needs.
+
+A distribution file is the JSON form of `MessageDistribution`, read by
+the typed reader in `schema.py`: {"entries": [{"verb": "TELL",
+"options": [[code, length], ...], "payload_hex": "...", "prob": p}]}.
+`MessageDistribution.__post_init__` is the one home of the checks of
+entries against the wire's limits and of the probabilities' sum.
 """
 
 from __future__ import annotations
@@ -28,9 +34,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .schema import Config
 from .wire import (
     HEADER_SIZE,
     K_MAX,
@@ -51,7 +58,7 @@ HUFFMAN_SLACK_BITS = 3
 Profile = tuple[tuple[int, int], ...]
 
 
-class CompressionError(Exception):
+class CompressionError(ValueError):
     pass
 
 
@@ -61,9 +68,9 @@ class EmptyCorpus(CompressionError):
 
 @dataclass(frozen=True)
 class DistEntry:
-    verb: int
-    profile: Profile
-    payload: bytes
+    verb: Verb
+    profile: Profile = field(metadata={"json": "options"})
+    payload: bytes = field(metadata={"json": "payload_hex"})
     prob: float
 
     @property
@@ -76,13 +83,18 @@ class DistEntry:
         return (HEADER_SIZE + 1 + option_bytes + 2 + len(self.payload)) * 8
 
 
-class MessageDistribution:
-    """A finite-support probability distribution over message shapes."""
+@dataclass(frozen=True)
+class MessageDistribution(Config):
+    """A finite-support probability distribution over message shapes,
+    its entries sorted by symbol."""
+
+    entries: tuple[DistEntry, ...]
 
     MAX_SUPPORT = 100_000
     PROB_TOL = 1e-9
 
-    def __init__(self, entries: list[DistEntry]):
+    def __post_init__(self) -> None:
+        entries = self.entries
         if not entries:
             raise EmptyCorpus("distribution has no entries")
         if len(entries) > self.MAX_SUPPORT:
@@ -114,8 +126,8 @@ class MessageDistribution:
         total = math.fsum(e.prob for e in entries)
         if abs(total - 1.0) > self.PROB_TOL:
             raise CompressionError(f"probabilities sum to {total!r}, not 1")
-        self.entries = tuple(
-            sorted(entries, key=lambda e: e.symbol)
+        object.__setattr__(
+            self, "entries", tuple(sorted(entries, key=lambda e: e.symbol))
         )
 
     def __len__(self) -> int:
@@ -146,37 +158,6 @@ class MessageDistribution:
     @classmethod
     def from_wire_corpus(cls, blobs) -> "MessageDistribution":
         return cls.from_messages(decode(b) for b in blobs)
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "verb": Verb(e.verb).name,
-                    "options": [list(p) for p in e.profile],
-                    "payload_hex": e.payload.hex(),
-                    "prob": e.prob,
-                }
-                for e in self.entries
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MessageDistribution":
-        try:
-            entries = [
-                DistEntry(
-                    verb=Verb[item["verb"]].value,
-                    profile=tuple(
-                        (int(c), int(ln)) for c, ln in item.get("options", [])
-                    ),
-                    payload=bytes.fromhex(item.get("payload_hex", "")),
-                    prob=float(item["prob"]),
-                )
-                for item in obj["entries"]
-            ]
-        except (KeyError, ValueError, TypeError, OverflowError) as e:
-            raise CompressionError(f"bad distribution: {e}") from e
-        return cls(entries)
 
 
 def symbol_of(m: Message) -> tuple:

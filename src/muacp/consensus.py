@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from . import schema, wire
-from .agent import Agent, Infeasible
+from .agent import Agent
 from .simnet import BasicNode, Network, SimConfig
 from .wire import FLAG_RESPONSE, Message, Option, OptionType, Verb
 
@@ -90,48 +90,41 @@ class Classified(NamedTuple):
 def classify(msg: Message) -> Classified | None:
     """Recognize a consensus message purely from its shape.  The six
     kinds have pairwise distinct verb/flag/option profiles, so no
-    conversation state is needed."""
+    conversation state is needed.  A ballot or instance option of the
+    wrong length makes a message not a consensus message."""
     h = msg.header
     verb, response = h.verb, h.flags & FLAG_RESPONSE
-    ballots = msg.find_all(_BALLOT)
     value = msg.find(_VALUE)
     conv = msg.find(_CONV)
     err = msg.find(_ERR)
-    instance = wire.decode_u32(conv.value) if conv is not None else None
+    try:
+        ballots = [Ballot.decode(o.value) for o in msg.options
+                   if o.code == _BALLOT]
+        instance = wire.decode_u32(conv.value) if conv is not None else None
+    except wire.WireError:
+        return None
 
     if verb == _ASK and len(ballots) == 1 and not response:
-        return Classified(
-            "prepare", ballot=Ballot.decode(ballots[0].value),
-            instance=instance,
-        )
+        return Classified("prepare", ballot=ballots[0], instance=instance)
     if verb != _TELL:
         return None
     if response and err is not None and len(err.value) == 8:
         return Classified("nack", ballot=Ballot.decode(err.value))
     if response and len(ballots) == 2 and value is not None:
         return Classified(
-            "promise",
-            ballot=Ballot.decode(ballots[0].value),
-            prior=(Ballot.decode(ballots[1].value), value.value),
+            "promise", ballot=ballots[0], prior=(ballots[1], value.value),
         )
     if response and len(ballots) == 1 and value is None:
-        return Classified("promise", ballot=Ballot.decode(ballots[0].value))
+        return Classified("promise", ballot=ballots[0])
     if response and len(ballots) == 1 and value is not None:
-        return Classified(
-            "accepted",
-            ballot=Ballot.decode(ballots[0].value),
-            value=value.value,
-        )
+        return Classified("accepted", ballot=ballots[0], value=value.value)
     if (
         not response
         and len(ballots) == 1
         and value is not None
     ):
         return Classified(
-            "accept",
-            ballot=Ballot.decode(ballots[0].value),
-            value=value.value,
-            instance=instance,
+            "accept", ballot=ballots[0], value=value.value, instance=instance,
         )
     if (
         not response
@@ -488,17 +481,9 @@ class Participant(BasicNode):
             self._send(net, now, *start_attempt(self.config, s, now))
 
     def on_deliver(self, net: Network, label, now: int) -> None:
-        sender, _, msg = label
-        try:
-            replies = self.agent.receive(msg, sender, now)
-        except Infeasible:
-            net.note(
-                kind="drop", sender=sender, receiver=self.id,
-                reason="infeasible-receive",
-            )
+        if not super().on_deliver(net, label, now):
             return
-        for to, m in replies:
-            self.emit(net, to, m, now)
+        sender, _, msg = label
         c = classify(msg)
         if c is not None:
             self._send(

@@ -14,12 +14,17 @@ and a CID option binding the message to its conversation:
     procedural f         -> base verb + PROC(code f) + CID(cid)
 
 Conversation protocols are finite automata over performative actions.
-The inclusion checker executes each automaton trace against real
-agents on a lossless simulated network: an action is matched against
-messages the agents already produced on their own (replies the verb
-semantics generates), and only unmatched actions are injected through
-the translation.  A trace is covered when every action appears, in
-order, with consistent conversation ids.
+A protocol file is the JSON form of `ConversationAutomaton`, read by
+the typed reader in `schema.py`: each transition is an action's fields
+plus "from" and "to".  A protocol that loads can run: `validate`
+translates every action once, so the wire's own limits apply, and
+parses every literal an agent would (its starting knowledge, a
+published INFORM).  The inclusion checker executes each automaton
+trace against real agents on a lossless simulated network: an action
+is matched against messages the agents already produced on their own
+(replies the verb semantics generates), and only unmatched actions are
+injected through the translation.  A trace is covered when every
+action appears, in order, with consistent conversation ids.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ import json
 from dataclasses import dataclass, field, replace
 
 from . import wire
-from .agent import Agent
+from .agent import Agent, BadContent
+from .schema import Config, path_key
 from .simnet import BasicNode, Network, SimConfig
 from .wire import (
     CONTENT_ACTION,
@@ -86,7 +92,7 @@ _PROC_VERB = {
 }
 
 
-class FipaError(Exception):
+class FipaError(ValueError):
     pass
 
 
@@ -110,10 +116,11 @@ class PerformativeAction:
             raise FipaError("action sender equals receiver")
 
 
-@dataclass(frozen=True)
-class Edge:
-    frm: str
-    action: PerformativeAction
+@dataclass(frozen=True, kw_only=True)
+class Edge(PerformativeAction):
+    """A transition: the action taken in state `frm` that leads to `to`."""
+
+    frm: str = field(metadata={"json": "from"})
     to: str
 
 
@@ -328,7 +335,7 @@ def project(msg: Message, sender: int, receiver: int, tick: int) -> ProjectedEve
 
 
 @dataclass(frozen=True)
-class ConversationAutomaton:
+class ConversationAutomaton(Config):
     """A finite conversation protocol: states, performative-labeled
     edges, and accepting states.  The transition relation is a partial
     map (no two edges share a source state and an identical action)."""
@@ -338,46 +345,67 @@ class ConversationAutomaton:
     states: tuple[str, ...]
     initial: str
     accepting: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    edges: tuple[Edge, ...] = field(metadata={"json": "transitions"})
     nesting_depth: int = 1
-    knowledge: dict = field(default_factory=dict)  # role -> [literal text]
+    # the literals each role's agent knows before the conversation
+    knowledge: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
+        """Raise FipaError, naming the field, unless the protocol is
+        well formed and every action can be sent."""
         states = set(self.states)
         if self.initial not in states:
-            raise FipaError(f"initial state {self.initial!r} unknown")
+            raise FipaError(f"initial: {self.initial!r} is not declared")
         if not self.accepting:
-            raise FipaError("no accepting states")
-        if not set(self.accepting) <= states:
-            raise FipaError("accepting states outside state set")
+            raise FipaError("accepting: no accepting states")
+        for i, s in enumerate(self.accepting):
+            if s not in states:
+                raise FipaError(f"accepting[{i}]: {s!r} is not declared")
         roles = set(self.roles)
-        seen: set[tuple] = set()
+        probe = Agent(0)
+        seen: dict[tuple, int] = {}
         convs: set[str] = set()
-        for e in self.edges:
-            if e.frm not in states or e.to not in states:
-                raise FipaError(f"edge {e} references unknown state")
-            a = e.action
-            if a.sender not in roles or a.receiver not in roles:
-                raise FipaError(f"edge {e} references unknown role")
-            key = (e.frm, a.performative, a.sender, a.receiver, a.content,
-                   a.conversation)
+        for i, e in enumerate(self.edges):
+            at = f"transitions[{i}]"
+            for name, value, declared in (
+                ("from", e.frm, states), ("to", e.to, states),
+                ("sender", e.sender, roles), ("receiver", e.receiver, roles),
+            ):
+                if value not in declared:
+                    raise FipaError(f"{at}.{name}: {value!r} is not declared")
+            key = (e.frm, e.performative, e.sender, e.receiver, e.content,
+                   e.conversation)
             if key in seen:
-                raise FipaError(f"nondeterministic transition at {key}")
-            seen.add(key)
-            convs.add(a.conversation)
+                raise FipaError(
+                    f"{at}: nondeterministic, same state and action as "
+                    f"transitions[{seen[key]}]"
+                )
+            seen[key] = i
+            convs.add(e.conversation)
+            try:
+                translate(e, 0)
+                if (e.performative is Performative.INFORM
+                        and e.topic is not None):
+                    probe.make_tell(e.content, topic=e.topic)
+            except (wire.WireError, BadContent) as x:
+                raise FipaError(f"{at}: {x}") from x
         if len(convs) > self.nesting_depth:
             raise FipaError(
-                f"{len(convs)} conversation levels exceed declared "
-                f"nesting depth {self.nesting_depth}"
+                f"nesting_depth: {len(convs)} conversation levels exceed "
+                f"declared nesting depth {self.nesting_depth}"
             )
         for role, lits in self.knowledge.items():
             if role not in roles:
-                raise FipaError(f"knowledge for unknown role {role!r}")
-            if not isinstance(lits, (list, tuple)):
-                raise FipaError("knowledge entries must be literal lists")
+                raise FipaError(f"knowledge: role {role!r} is not declared")
+            for i, lit in enumerate(lits):
+                try:
+                    probe.kb_insert_text(lit)
+                except BadContent as x:
+                    at = f"knowledge.{path_key(role)}[{i}]"
+                    raise FipaError(f"{at}: {x}") from x
 
     def outgoing(self, state: str) -> list[Edge]:
         return [e for e in self.edges if e.frm == state]
@@ -397,9 +425,9 @@ class ConversationAutomaton:
     def product(self, other: "ConversationAutomaton") -> "ConversationAutomaton":
         """Asynchronous interleaving of two protocols.  Conversations
         are relabeled per side so the two instances stay distinct."""
-        def relabel(edge: Edge, tag: str) -> PerformativeAction:
+        def relabel(e: Edge, tag: str, frm: str, to: str) -> Edge:
             return replace(
-                edge.action, conversation=f"{tag}.{edge.action.conversation}"
+                e, conversation=f"{tag}.{e.conversation}", frm=frm, to=to
             )
 
         states = tuple(
@@ -409,21 +437,15 @@ class ConversationAutomaton:
         for a in self.states:
             for b in other.states:
                 for e in self.outgoing(a):
-                    edges.append(
-                        Edge(f"{a}|{b}", relabel(e, "L"), f"{e.to}|{b}")
-                    )
-                for e in other.edges:
-                    if e.frm == b:
-                        edges.append(
-                            Edge(f"{a}|{b}", relabel(e, "R"), f"{a}|{e.to}")
-                        )
-        knowledge: dict = {}
+                    edges.append(relabel(e, "L", f"{a}|{b}", f"{e.to}|{b}"))
+                for e in other.outgoing(b):
+                    edges.append(relabel(e, "R", f"{a}|{b}", f"{a}|{e.to}"))
+        knowledge: dict[str, tuple[str, ...]] = {}
         for src in (self.knowledge, other.knowledge):
             for role, lits in src.items():
-                knowledge.setdefault(role, [])
-                for lit in lits:
-                    if lit not in knowledge[role]:
-                        knowledge[role].append(lit)
+                knowledge[role] = tuple(
+                    dict.fromkeys(knowledge.get(role, ()) + tuple(lits))
+                )
         return ConversationAutomaton(
             name=f"{self.name}*{other.name}",
             roles=tuple(sorted(set(self.roles) | set(other.roles))),
@@ -436,65 +458,6 @@ class ConversationAutomaton:
             nesting_depth=self.nesting_depth + other.nesting_depth,
             knowledge=knowledge,
         )
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "roles": list(self.roles),
-            "states": list(self.states),
-            "initial": self.initial,
-            "accepting": list(self.accepting),
-            "nesting_depth": self.nesting_depth,
-            "knowledge": {r: list(v) for r, v in sorted(self.knowledge.items())},
-            "transitions": [
-                {
-                    "from": e.frm,
-                    "to": e.to,
-                    "performative": e.action.performative.value,
-                    "sender": e.action.sender,
-                    "receiver": e.action.receiver,
-                    "content": e.action.content,
-                    "conversation": e.action.conversation,
-                    **(
-                        {"topic": e.action.topic}
-                        if e.action.topic is not None
-                        else {}
-                    ),
-                }
-                for e in self.edges
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ConversationAutomaton":
-        try:
-            edges = tuple(
-                Edge(
-                    t["from"],
-                    PerformativeAction(
-                        performative=Performative(t["performative"]),
-                        sender=t["sender"],
-                        receiver=t["receiver"],
-                        content=t["content"],
-                        conversation=t.get("conversation", "main"),
-                        topic=t.get("topic"),
-                    ),
-                    t["to"],
-                )
-                for t in obj["transitions"]
-            )
-            return cls(
-                name=obj["name"],
-                roles=tuple(obj["roles"]),
-                states=tuple(obj["states"]),
-                initial=obj["initial"],
-                accepting=tuple(obj["accepting"]),
-                edges=edges,
-                nesting_depth=obj.get("nesting_depth", 1),
-                knowledge=dict(obj.get("knowledge", {})),
-            )
-        except (KeyError, ValueError, TypeError) as e:
-            raise FipaError(f"bad protocol description: {e}") from e
 
 
 def load_protocol(path: str) -> ConversationAutomaton:
@@ -556,7 +519,7 @@ def accepting_runs(
         key=lambda r: (
             len(r),
             tuple(
-                (e.frm, e.action.performative.value, e.action.content, e.to)
+                (e.frm, e.performative.value, e.content, e.to)
                 for e in r
             ),
         )
@@ -571,11 +534,11 @@ class _RecordingNode(BasicNode):
         super().__init__(agent)
         self._observed = observed
 
-    def on_deliver(self, net: Network, label, now: int) -> None:
+    def on_deliver(self, net: Network, label, now: int) -> bool:
         ev = project(label.message, label.sender, label.receiver, now)
         if ev is not None:
             self._observed.append(ev)
-        super().on_deliver(net, label, now)
+        return super().on_deliver(net, label, now)
 
 
 @dataclass
@@ -685,8 +648,7 @@ class _TraceRun:
     def execute(self, trace: tuple[Edge, ...]) -> TraceResult:
         pos = 0
         self._settle()
-        for i, edge in enumerate(trace):
-            action = edge.action
+        for i, action in enumerate(trace):
             idx = self._find(pos, action)
             if idx is None:
                 self._inject(action)
@@ -749,10 +711,12 @@ class ProceduralBoundReport:
     state_count: int
     runs_executed: int
     max_semantic_messages: int
+    failed: TraceResult | None = None  # an accepting run that did not run
 
     @property
     def ok(self) -> bool:
-        return self.max_semantic_messages <= self.state_count
+        return (self.failed is None
+                and self.max_semantic_messages <= self.state_count)
 
 
 def procedural_bound_check(
@@ -760,22 +724,17 @@ def procedural_bound_check(
 ) -> ProceduralBoundReport:
     """Execute every complete run of up to |states| actions and confirm
     no conversation produces more semantic messages than the automaton
-    has states."""
+    has states.  The first run that fails to execute ends the check
+    and is reported as `failed`."""
     k = len(auto.states)
-    runs = accepting_runs(auto, k, cap)
-    worst = 0
-    executed = 0
-    for run in runs:
+    report = ProceduralBoundReport(auto.name, k, 0, 0)
+    for run in accepting_runs(auto, k, cap):
         result = _TraceRun(auto, translate).execute(run)
         if not result.covered:
-            raise FipaError(
-                f"accepting run failed to execute: {result.reason}"
-            )
-        worst = max(worst, result.semantic_events)
-        executed += 1
-    return ProceduralBoundReport(
-        protocol=auto.name,
-        state_count=k,
-        runs_executed=executed,
-        max_semantic_messages=worst,
-    )
+            report.failed = result
+            break
+        report.max_semantic_messages = max(
+            report.max_semantic_messages, result.semantic_events
+        )
+        report.runs_executed += 1
+    return report

@@ -531,7 +531,10 @@ class BasicNode:
             )
             self.emit(net, to, msg, now, fresh=False)
 
-    def on_deliver(self, net: Network, label: TransitionLabel, now: int) -> None:
+    def on_deliver(self, net: Network, label: TransitionLabel, now: int) -> bool:
+        """Let the agent receive the message and emit its replies.
+        Returns whether the agent accepted it: a receive its budget
+        cannot pay for is dropped and noted."""
         sender, _, msg = label
         try:
             replies = self.agent.receive(msg, sender, now)
@@ -540,9 +543,10 @@ class BasicNode:
                 kind="drop", sender=sender, receiver=self.id,
                 reason="infeasible-receive",
             )
-            return
+            return False
         for to, msg in replies:
             self.emit(net, to, msg, now)
+        return True
 
     def emit(
         self,

@@ -313,7 +313,8 @@ class ScaleNode(BasicNode):
             self._advance_round(net, now)
 
     def on_deliver(self, net: Network, label, now: int) -> None:
-        super().on_deliver(net, label, now)
+        if not super().on_deliver(net, label, now):
+            return
         sender, _, msg = label
         proc = msg.find(_PROC)
         if proc is not None:

@@ -326,13 +326,23 @@ _PROTOCOL = {
     "name": "p", "roles": ["a", "b"], "states": ["s0"], "initial": "s0",
     "accepting": ["s0"],
 }
+_TRANSITION = {"from": "s0", "to": "s0", "performative": "inform",
+               "sender": "a", "receiver": "b", "content": "p"}
+
+
+def _protocol(transition=(), **fields) -> str:
+    """One-transition protocol file text; `transition` overrides fields
+    of the transition, `fields` the top-level fields."""
+    return json.dumps({**_PROTOCOL, "transitions": [
+        {**_TRANSITION, **dict(transition)}], **fields})
 
 
 def _dist(prob: str = "1.0", options: str = "[]",
-          payload: str = '""') -> str:
-    """One-entry distribution file text with raw JSON for three fields."""
-    return ('{"entries": [{"verb": "PING", "prob": %s, "options": %s, '
-            '"payload_hex": %s}]}' % (prob, options, payload))
+          payload: str = '""', verb: str = '"PING"', more: str = "") -> str:
+    """One-entry distribution file text with raw JSON for its fields;
+    `more` adds raw `"key": value` text to the entry."""
+    return ('{"entries": [{"verb": %s, "prob": %s, "options": %s, '
+            '"payload_hex": %s%s}]}' % (verb, prob, options, payload, more))
 
 
 @pytest.mark.parametrize("command, text, expected", [
@@ -341,19 +351,100 @@ def _dist(prob: str = "1.0", options: str = "[]",
     pytest.param("check-traces", "\udcff", "cannot read",
                  id="protocol-not-utf8"),
     pytest.param("check-traces", json.dumps(_PROTOCOL),
-                 "bad protocol description", id="protocol-no-transitions"),
+                 "input.json: transitions: missing",
+                 id="protocol-no-transitions"),
     pytest.param("check-traces", json.dumps({**_PROTOCOL, "transitions": 5}),
-                 "bad protocol description", id="protocol-transitions-int"),
+                 "transitions: expected a list, got int",
+                 id="protocol-transitions-int"),
     pytest.param("check-traces", json.dumps([_PROTOCOL]),
-                 "bad protocol description", id="protocol-top-level-list"),
+                 "input.json: expected an object, got list",
+                 id="protocol-top-level-list"),
+    *(pytest.param("check-traces", _protocol({"content": value}),
+                   f"transitions[0].content: expected str, got {name}",
+                   id=f"protocol-content-{name}")
+      for value, name in ((5, "int"), (None, "NoneType"), (1.5, "float"))),
+    pytest.param("check-traces", _protocol({"topic": ["t"]}),
+                 "transitions[0].topic: expected str, got list",
+                 id="protocol-topic-list"),
+    pytest.param("check-traces", _protocol(knowledge={"b": [5]}),
+                 "knowledge.b[0]: expected str, got int",
+                 id="protocol-knowledge-int"),
+    pytest.param("check-traces", _protocol(nesting_depth="2"),
+                 "nesting_depth: expected int, got str",
+                 id="protocol-nesting-depth-str"),
+    pytest.param("check-traces", _protocol(roles="ab"),
+                 "roles: expected a list, got str", id="protocol-roles-str"),
+    pytest.param("check-traces", _protocol(colour=1),
+                 "input.json: colour: unknown field",
+                 id="protocol-unknown-key"),
+    pytest.param("check-traces", _protocol({"colour": 1}),
+                 "transitions[0].colour: unknown field",
+                 id="protocol-transition-unknown-key"),
+    pytest.param("check-traces", _protocol({"performative": "shout"}),
+                 "transitions[0].performative: expected one of 'inform',",
+                 id="protocol-performative-unknown"),
+    pytest.param("check-traces", _protocol({"content": "\udcff"}),
+                 "transitions[0].content: expected valid Unicode",
+                 id="protocol-content-lone-surrogate"),
+    pytest.param("check-traces", _protocol({"to": "s9"}),
+                 "transitions[0].to: 's9' is not declared",
+                 id="protocol-unknown-state"),
+    pytest.param("check-traces",
+                 _protocol({"performative": "not-understood",
+                            "content": "x" * 2000}),
+                 "transitions[0]: option value of 2000 bytes cannot fit",
+                 id="protocol-not-understood-oversized"),
+    pytest.param("check-traces",
+                 _protocol({"performative": "subscribe", "topic": "x" * 2000}),
+                 "transitions[0]: option value of 2000 bytes cannot fit",
+                 id="protocol-subscribe-topic-oversized"),
+    *(pytest.param("check-traces",
+                   _protocol({"performative": p, "content": "x" * 70_000}),
+                   "transitions[0]: payload is 70000 bytes, limit 65535",
+                   id=f"protocol-{p}-oversized")
+      for p in ("inform", "cfp")),
+    pytest.param("check-traces",
+                 _protocol({"performative": "request",
+                            "content": "x" * 65_530}),
+                 "transitions[0]: payload is 65536 bytes",
+                 id="protocol-request-done-template-oversized"),
+    *(pytest.param("check-traces", _protocol(knowledge={"b": [lit]}),
+                   "knowledge.b[0]: empty literal",
+                   id=f"protocol-knowledge-{lit or 'empty'}")
+      for lit in ("", "!!")),
+    pytest.param("check-traces", _protocol({"topic": "t", "content": ""}),
+                 "transitions[0]: empty literal",
+                 id="protocol-published-inform-not-a-literal"),
+    pytest.param("check-traces", json.dumps({**_PROTOCOL, "transitions": [
+        {**_TRANSITION, "content": f"p{i}"} for i in range(5)]}),
+                 "more than 100000 traces", id="protocol-too-many-traces"),
     pytest.param("check-bound", "{not json", "cannot read",
                  id="dist-not-json"),
     pytest.param("check-bound", "[" * 100_000, "cannot read",
                  id="dist-nested-too-deep"),
     pytest.param("check-bound", _dist(prob="NaN"),
-                 "probability nan is not finite", id="dist-prob-nan"),
+                 "entries[0].prob: expected a finite number, got nan",
+                 id="dist-prob-nan"),
     pytest.param("check-bound", _dist(options="[[Infinity, 1]]"),
-                 "bad distribution", id="dist-code-infinity"),
+                 "entries[0].options[0][0]: expected int, got float",
+                 id="dist-code-infinity"),
+    pytest.param("check-bound", _dist(prob='"0.5"'),
+                 "entries[0].prob: expected float, got str",
+                 id="dist-prob-str"),
+    pytest.param("check-bound", _dist(options="[[3.9, true]]"),
+                 "entries[0].options[0][0]: expected int, got float",
+                 id="dist-code-float"),
+    pytest.param("check-bound", _dist(options="[[3, true]]"),
+                 "entries[0].options[0][1]: expected int, got bool",
+                 id="dist-length-bool"),
+    pytest.param("check-bound", _dist(more=', "weight": 1'),
+                 "entries[0].weight: unknown field", id="dist-unknown-key"),
+    pytest.param("check-bound", _dist(verb='"SHOUT"'),
+                 "entries[0].verb: expected one of 'PING', 'TELL'",
+                 id="dist-verb-unknown"),
+    pytest.param("check-bound", _dist(payload='"zz"'),
+                 "entries[0].payload_hex: expected a hex string",
+                 id="dist-payload-not-hex"),
     pytest.param("check-bound", _dist(options="[[3, -5]]"),
                  "option length -5 not in 0..1021", id="dist-length-negative"),
     pytest.param("check-bound", _dist(options="[[256, 1]]"),
@@ -368,6 +459,18 @@ def test_malformed_protocol_or_distribution_exits_2(
     p = tmp_path / "input.json"
     p.write_text(text, encoding="utf-8", errors="surrogateescape")
     _assert_usage_error(main([command, str(p)]), capsys, expected)
+
+
+def test_unexecutable_accepting_run_fails_the_protocol(tmp_path, capsys):
+    # make_tell strips the leading space, so the published notification
+    # never matches the action and its accepting runs cannot execute
+    text = (ROOT / "protocols" / "subscribe_notify.json").read_text()
+    p = tmp_path / "input.json"
+    p.write_text(text.replace('"alert(smoke)"', '" alert(x)"'))
+    assert main(["check-traces", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("check-traces: subscribe_notify: ")
+    assert out.rstrip().endswith(": FAIL") and err == ""
 
 
 def test_validate_sidecar_must_be_an_object(tmp_path, capsys):

@@ -137,6 +137,22 @@ def test_ordinary_traffic_not_classified():
     assert classify(wire.message(Verb.TELL, payload=b"hello")) is None
     assert classify(wire.message(Verb.OBSERVE,
                                  options=(wire.opt_topic("t"),))) is None
+    # consensus shapes whose ballot or instance has the wrong length
+    short_conv = wire.Option(wire.OptionType.CONV, b"xy")
+    short_ballot = wire.Option(wire.OptionType.BALLOT, b"\x00" * 3)
+    for verb, flags, options in (
+        (Verb.PING, 0, (short_conv,)),
+        (Verb.ASK, 0, (short_ballot,)),
+        (Verb.ASK, 0, (opt_ballot(B1), short_conv)),
+        (Verb.TELL, FLAG_RESPONSE, (short_ballot,)),
+        (Verb.TELL, FLAG_RESPONSE, (opt_ballot(B2), short_ballot,
+                                    opt_value(b"v"))),
+        (Verb.TELL, FLAG_RESPONSE, (short_ballot, opt_value(b"v"))),
+        (Verb.TELL, 0, (short_ballot, opt_value(b"v"))),
+        (Verb.TELL, 0, (opt_value(b"v"), short_conv)),
+    ):
+        msg = wire.message(verb, flags=flags, options=options)
+        assert classify(msg) is None, msg
 
 
 def test_shapes_pairwise_distinct():

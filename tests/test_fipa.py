@@ -155,7 +155,8 @@ def test_auxiliary_traffic_projects_to_none():
 def chain(name, *actions, nesting=1, knowledge=None):
     states = [f"s{i}" for i in range(len(actions) + 1)]
     edges = tuple(
-        Edge(states[i], a, states[i + 1]) for i, a in enumerate(actions)
+        Edge(**vars(a), frm=states[i], to=states[i + 1])
+        for i, a in enumerate(actions)
     )
     return ConversationAutomaton(
         name=name,
@@ -199,7 +200,7 @@ def test_enumerate_traces_caps_explosions():
     a = act(Performative.INFORM, "p")
     auto = ConversationAutomaton(
         name="loop", roles=("a", "b"), states=("s0",), initial="s0",
-        accepting=("s0",), edges=(Edge("s0", a, "s0"),),
+        accepting=("s0",), edges=(Edge(**vars(a), frm="s0", to="s0"),),
     )
     assert len(enumerate_traces(auto, max_len=5)) == 5
     with pytest.raises(TooLarge):
@@ -210,7 +211,7 @@ def test_product_relabels_conversations():
     left = chain("l", act(Performative.INFORM, "p"))
     right = chain("r", act(Performative.INFORM, "q"))
     prod = left.product(right)
-    convs = {e.action.conversation for e in prod.edges}
+    convs = {e.conversation for e in prod.edges}
     assert convs == {"L.main", "R.main"}
     assert prod.nesting_depth == 2
     # both interleavings of the two informs plus their one-step prefixes
@@ -219,7 +220,7 @@ def test_product_relabels_conversations():
 
 def test_json_roundtrip(tmp_path):
     auto = chain("rt", act(Performative.REQUEST, "go()"),
-                 knowledge={"b": ["ready"]})
+                 knowledge={"b": ("ready",)})
     path = tmp_path / "rt.json"
     path.write_text(json.dumps(auto.to_json()))
     assert load_protocol(str(path)) == auto
@@ -300,7 +301,7 @@ def test_conversation_cid_discipline_in_nested_protocol():
     traces = enumerate_traces(auto, max_len=8)
     nested = [
         t for t in traces
-        if {e.action.conversation for e in t} == {"main", "clarify"}
+        if {e.conversation for e in t} == {"main", "clarify"}
     ]
     assert nested, "expected traces exercising the nested conversation"
     rep = check_trace_inclusion(auto, max_len=8)

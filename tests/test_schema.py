@@ -1,7 +1,10 @@
-"""Config (de)serialization: one typed reader for every config class."""
+"""Config (de)serialization: one typed reader for every input file."""
 
+import contextlib
 import copy
+import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from muacp.cli import main
+from muacp.compression import MessageDistribution
 from muacp.consensus import CampaignConfig, DecreeConfig
+from muacp.fipa import ConversationAutomaton
 from muacp.resources import CostModel
 from muacp.schema import ConfigError
 from muacp.simnet import SimConfig
@@ -46,6 +52,10 @@ def _shipped() -> dict:
                  else ScaleConfig, json.loads(p.read_text()))
         for p in sorted((ROOT / "configs").glob("*.json"))
     }
+    for cls, pattern in ((ConversationAutomaton, "protocols/*.json"),
+                         (MessageDistribution, "configs/distributions/*.json")):
+        for p in sorted(ROOT.glob(pattern)):
+            docs[str(p.relative_to(ROOT))] = (cls, json.loads(p.read_text()))
     # the fractional cost model of the agent_budgeted benchmark workload
     docs["cost_model"] = (CostModel, {"per_byte_bandwidth": "2/3",
                                       "per_message_cpu": "5/7",
@@ -57,6 +67,10 @@ def _shipped() -> dict:
 SHIPPED = _shipped()
 
 
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True)
+
+
 def test_shipped_configs_read_back_unchanged():
     for name, (cls, doc) in SHIPPED.items():
         doc = dict(doc)
@@ -65,7 +79,16 @@ def test_shipped_configs_read_back_unchanged():
             doc["seeds"] = list(range(start, start + count))
         elif cls is CostModel:
             doc = {**CostModel().to_json(), **doc}
-        assert cls.from_json(doc).to_json() == doc, name
+        elif cls is ConversationAutomaton:
+            doc["transitions"] = [{"conversation": "main", "topic": None, **t}
+                                  for t in doc["transitions"]]
+        cfg = cls.from_json(doc)
+        got = cfg.to_json()
+        if cls is MessageDistribution:  # entries come back sorted by symbol
+            got["entries"].sort(key=_canonical)
+            doc["entries"] = sorted(doc["entries"], key=_canonical)
+        assert got == doc, name
+        assert cls.from_json(json.loads(json.dumps(got))) == cfg, name
     # no coercion: an int stays an int where a float is declared
     assert type(ScaleConfig.from_json({"tick_ms": 2}).tick_ms) is int
 
@@ -126,12 +149,9 @@ junk = st.recursive(
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_mutated_configs_give_a_config_or_a_config_error(data):
-    """Drop a key, add a key or swap a value for junk anywhere in a
-    shipped config: the reader returns a config or raises ConfigError."""
-    cls, doc = SHIPPED[data.draw(st.sampled_from(sorted(SHIPPED)))]
+def _mutate(data, doc):
+    """`doc` with a key dropped, a key added or a value swapped for junk,
+    anywhere in it."""
     doc = copy.deepcopy(doc)
     path = data.draw(st.sampled_from(list(_paths(doc))))
     op = data.draw(st.sampled_from(["drop", "add", "swap"]))
@@ -146,8 +166,45 @@ def test_mutated_configs_give_a_config_or_a_config_error(data):
         _at(doc, path[:-1])[path[-1]] = data.draw(junk)
     else:
         doc = data.draw(junk)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_configs_give_a_config_or_a_config_error(data):
+    """Drop a key, add a key or swap a value for junk anywhere in a
+    shipped input file: the reader returns a config or raises
+    ConfigError."""
+    cls, doc = SHIPPED[data.draw(st.sampled_from(sorted(SHIPPED)))]
     try:
-        cfg = cls.from_json(doc)
+        cfg = cls.from_json(_mutate(data, doc))
     except ConfigError:
         return
     assert isinstance(cfg, cls)
+
+
+_COMMANDS = {ConversationAutomaton: "check-traces",
+             MessageDistribution: "check-bound"}
+CHECKED = sorted(name for name, (cls, _) in SHIPPED.items()
+                 if cls in _COMMANDS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_protocols_and_distributions_exit_0_1_or_2(data):
+    """A mutated protocol or distribution file through the CLI: exit 0
+    or 1 with a clean stderr, or exit 2 with exactly one `error:` line;
+    never an exception."""
+    cls, doc = SHIPPED[data.draw(st.sampled_from(CHECKED))]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(_mutate(data, doc)), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([_COMMANDS[cls], str(path)])
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert lines == []

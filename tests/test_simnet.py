@@ -13,7 +13,8 @@ from muacp import workloads
 from muacp.agent import Agent, TransitionLabel
 from muacp.resources import CostModel, ResourceBudget, ResourceVector
 from muacp.simnet import BasicNode, Network, SimConfig, _percentile
-from muacp.wire import Verb, encode
+from muacp.fipa import PROC_CODES, Performative
+from muacp.wire import Option, OptionType, Verb, encode, opt_cid
 from muacp.workloads import ScaleNode, load_scale_config, run_scale
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -218,6 +219,24 @@ def test_infeasible_send_logged_not_raised():
     assert node.emit(net, 1, node.agent.make_ping(), 0)
     assert not node.emit(net, 1, node.agent.make_ping(), 0)
     assert [r.reason for r in net.log.of_kind("drop")] == ["infeasible-send"]
+
+
+def test_refused_delivery_is_noted_and_not_acted_on():
+    # a bandwidth budget too small to receive a call for proposals: the
+    # node notes the drop and neither records nor answers the call
+    tiny = ResourceBudget.full(ResourceVector.of(10**6, 12, 10**6, 10**6))
+    node = ScaleNode(Agent(1, budget=tiny), workloads.ScaleConfig(),
+                     workloads.WorkloadStats(), initiator=False)
+    net = Network(SimConfig(seed=0, gst=0, drop_rate=0.0),
+                  [BasicNode(Agent(0)), node])
+    cfp = Agent(0).build(Verb.ASK, options=(
+        Option(OptionType.PROC, bytes((PROC_CODES[Performative.CFP],))),
+        opt_cid(7)), payload=b"task_3")
+    node.on_deliver(net, TransitionLabel(0, 1, cfp), 0)
+    assert node.proposed_convs == set()
+    assert [r.reason for r in net.log.of_kind("drop")] == [
+        "infeasible-receive"]
+    assert not BasicNode.on_deliver(node, net, TransitionLabel(0, 1, cfp), 0)
 
 
 # -- timers through the loop --------------------------------------------------
