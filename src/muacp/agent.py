@@ -261,16 +261,17 @@ class Agent:
         response: bool = False,
         topic: str | None = None,
     ) -> Message:
+        return self._tell(parse_literal(literal_text), cid, qos, response,
+                          topic)
+
+    def _tell(self, lit: Literal, cid: int | None, qos: int = 0,
+              response: bool = False, topic: str | None = None) -> Message:
+        """`make_tell` of a literal already parsed."""
         opts = (CT_LITERAL,) if topic is None else (
             CT_LITERAL, wire.opt_topic(topic))
-        return self.build(
-            _TELL,
-            options=opts,
-            payload=parse_literal(literal_text).text().encode("utf-8"),
-            qos=qos,
-            flags=FLAG_RESPONSE if response else 0,
-            cid=cid,
-        )
+        return self.build(_TELL, options=opts,
+                          payload=lit.text().encode("utf-8"), qos=qos,
+                          flags=FLAG_RESPONSE if response else 0, cid=cid)
 
     def make_ask(
         self,
@@ -313,7 +314,8 @@ class Agent:
             self._ledger.charge(msg.wire_size)
         except InfeasibleCharge as e:
             self.infeasible_count += 1
-            raise Infeasible(str(e)) from e
+            # str() of the Infeasible is str(e), built only when read.
+            raise Infeasible(e) from e
         if self.journal is not None:
             self.journal.append(
                 JournalEntry(now, kind, self.model.cost_of(msg)))
@@ -453,26 +455,17 @@ class Agent:
                         cid=h.correlation_id,
                     )
                 else:
-                    reply = self.make_tell(
-                        Literal(query.atom, truth).text(),
-                        cid=h.correlation_id,
-                        response=True,
-                    )
+                    reply = self._tell(Literal(query.atom, truth),
+                                       h.correlation_id, response=True)
                 return [(sender, reply)]
             if ct.value == _ACTION_BYTES:
                 action = msg.payload.decode("utf-8", "strict")
                 if not action:
                     raise BadContent("empty action")
-                done = f"done({action})"
-                self.kb_insert_text(done)
-                return [
-                    (
-                        sender,
-                        self.make_tell(
-                            done, cid=h.correlation_id, response=True
-                        ),
-                    )
-                ]
+                done = parse_literal(f"done({action})")
+                self.kb_insert(done)
+                return [(sender, self._tell(
+                    done, h.correlation_id, response=True))]
             raise BadContent(f"unknown content type {ct.value.hex()}")
 
         if verb == _OBSERVE:

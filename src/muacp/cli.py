@@ -337,6 +337,10 @@ def cmd_sim_scale(args, argv) -> int:
 # -- check-traces ----------------------------------------------------------------
 
 
+def _trace_failure(result) -> dict:
+    return {"failed_at": result.failed_at, "reason": result.reason}
+
+
 def cmd_check_traces(args, argv) -> int:
     results = []
     ok = True
@@ -347,28 +351,29 @@ def cmd_check_traces(args, argv) -> int:
             bound = procedural_bound_check(auto)
         except TooLarge as e:
             raise UsageError(f"{path}: {e}") from e
-        results.append(
-            {
-                "protocol": auto.name,
-                "path": path,
-                "traces": inclusion.traces_checked,
-                "covered": inclusion.covered,
-                "uncovered": [
-                    {"failed_at": u.failed_at, "reason": u.reason}
-                    for u in inclusion.uncovered
-                ],
-                "states": bound.state_count,
-                "max_semantic_messages": bound.max_semantic_messages,
-                "bound_ok": bound.ok,
-            }
-        )
+        entry = {
+            "protocol": auto.name,
+            "path": path,
+            "traces": inclusion.traces_checked,
+            "covered": inclusion.covered,
+            "uncovered": [_trace_failure(u) for u in inclusion.uncovered],
+            "states": bound.state_count,
+            "max_semantic_messages": bound.max_semantic_messages,
+            "bound_ok": bound.ok,
+        }
+        note = ""
+        if bound.failed is not None:
+            failed = entry["bound_failed"] = _trace_failure(bound.failed)
+            note = (f" (an accepting run fails at step "
+                    f"{failed['failed_at']}: {failed['reason']})")
+        results.append(entry)
         line_ok = inclusion.ok and bound.ok
         ok = ok and line_ok
         print(
             f"check-traces: {auto.name}: {inclusion.covered}/"
             f"{inclusion.traces_checked} traces covered to length "
             f"{args.max_len}, bound {bound.max_semantic_messages}<="
-            f"{bound.state_count}: {'ok' if line_ok else 'FAIL'}"
+            f"{bound.state_count}: {'ok' if line_ok else 'FAIL'}{note}"
         )
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -49,7 +49,15 @@ class NegativeResource(ResourceError, ValueError):
 
 
 class InfeasibleCharge(ResourceError):
-    """Charging would exceed the remaining budget; state is unchanged."""
+    """Charging would exceed the remaining budget; state is unchanged.
+    Args `(cost, remaining, d)`, amounts over `d`; text built when read."""
+
+    def __str__(self) -> str:
+        # x / d of ints is correctly rounded: it is float(Fraction(x, d)).
+        cost, remaining, d = self.args
+        cost, remaining = [{k: float(x / d) for k, x in zip(DIMENSIONS, v)}
+                           for v in (cost, remaining)]
+        return f"cost {cost} exceeds remaining {remaining}"
 
 
 @dataclass(frozen=True)
@@ -116,9 +124,6 @@ class ResourceVector:
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.memory, self.bandwidth, self.cpu, self.energy)
 
-    def as_floats(self) -> dict[str, float]:
-        return {name: float(getattr(self, name)) for name in DIMENSIONS}
-
 
 _ZERO = ResourceVector()
 
@@ -152,9 +157,7 @@ class ResourceBudget:
     def charge(self, cost: ResourceVector) -> "ResourceBudget":
         if not self.feasible(cost):
             raise InfeasibleCharge(
-                f"cost {cost.as_floats()} exceeds remaining "
-                f"{self.remaining.as_floats()}"
-            )
+                cost.as_tuple(), self.remaining.as_tuple(), 1)
         return ResourceBudget(self.limit, self.remaining - cost)
 
     def refund(self, amount: ResourceVector) -> "ResourceBudget":
@@ -236,11 +239,11 @@ class BudgetLedger:
     `ResourceBudget.charge(model.cost_of_size(size))` and
     `ResourceBudget.refund(model.buffer_memory(size))`, with the same
     errors and messages, but change the ledger in place; a refused
-    charge changes nothing.
+    charge changes nothing and builds its message only when read.
     """
 
     __slots__ = (
-        "model", "denominator",
+        "denominator",
         "memory_limit", "bandwidth_limit", "cpu_limit", "energy_limit",
         "memory", "bandwidth", "cpu", "energy",
         "_buffer_per_byte", "_per_byte_bandwidth", "_per_byte_cpu",
@@ -258,7 +261,6 @@ class BudgetLedger:
         (self.memory_limit, self.bandwidth_limit, self.cpu_limit,
          self.energy_limit, self.memory, self.bandwidth, self.cpu,
          self.energy) = [x.numerator * (d // x.denominator) for x in amounts]
-        self.model = model
         self.denominator = d
 
     def _vector(self, memory, bandwidth, cpu, energy) -> ResourceVector:
@@ -290,9 +292,9 @@ class BudgetLedger:
         if (memory > self.memory or bandwidth > self.bandwidth
                 or cpu > self.cpu or energy > self.energy):
             raise InfeasibleCharge(
-                f"cost {self.model.cost_of_size(size).as_floats()} exceeds "
-                f"remaining {self.remaining.as_floats()}"
-            )
+                (memory, bandwidth, cpu, energy),
+                (self.memory, self.bandwidth, self.cpu, self.energy),
+                self.denominator)
         self.memory -= memory
         self.bandwidth -= bandwidth
         self.cpu -= cpu

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from muacp import wire
+from muacp import resources, wire
 from muacp.agent import (
     Agent,
     BadContent,
@@ -16,6 +16,7 @@ from muacp.agent import (
 )
 from muacp.resources import (
     CostModel,
+    InfeasibleCharge,
     JournalEntry,
     ResourceBudget,
     ResourceVector,
@@ -351,22 +352,61 @@ def _snapshot(a):
     return a.budget, list(a.history), list(a.journal)
 
 
-def test_refused_send_and_receive_leave_the_agent_unchanged():
-    from muacp.agent import Infeasible
+def _refusal_text(budget, model, size):
+    """The reference text: what `ResourceBudget.charge` raises."""
+    with pytest.raises(InfeasibleCharge) as e:
+        budget.charge(model.cost_of_size(size))
+    return str(e.value)
 
+
+def _short_of_cpu(**kwargs):
     # cpu "12/5" pays for one 11-byte ping (5/7 + 11/11) but not a second
     limit = ResourceVector.of(1000, 1000, "12/5", 1)
     a = Agent(1, budget=ResourceBudget.full(limit), model=FRACTIONAL,
-              h_cap=1, journal=True)
+              h_cap=1, **kwargs)
     a.send(a.make_ping(), to=2, now=0)
+    return a
+
+
+def test_refused_send_and_receive_leave_the_agent_unchanged():
+    from muacp.agent import Infeasible
+
+    a = _short_of_cpu(journal=True)
     before = _snapshot(a)
-    with pytest.raises(Infeasible):
+    want = _refusal_text(a.budget, FRACTIONAL, 11)
+    with pytest.raises(Infeasible) as e:
         a.send(a.make_ping(), to=2, now=1)
+    assert str(e.value) == want
     assert _snapshot(a) == before
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible) as e:
         a.receive(Agent(2).make_ping(), 2, now=2)
+    assert str(e.value) == want
     assert _snapshot(a) == before
     assert a.infeasible_count == 2
+
+
+def test_refused_send_and_receive_build_no_fraction_or_vector(monkeypatch):
+    from muacp.agent import Infeasible
+
+    a = _short_of_cpu()
+    ping = Agent(2).make_ping()
+    want = _refusal_text(a.budget, FRACTIONAL, ping.wire_size)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refusal built a Fraction or a vector")
+
+    for owner, name in ((resources, "Fraction"),
+                        (ResourceVector, "__post_init__"),
+                        (resources.BudgetLedger, "_vector"),
+                        (CostModel, "cost_of_size")):
+        monkeypatch.setattr(owner, name, forbidden)
+    texts = []
+    for refused in (lambda: a.send(a.make_ping(), to=2, now=1),
+                    lambda: a.receive(ping, 2, now=2)):
+        with pytest.raises(Infeasible) as e:
+            refused()
+        texts.append(str(e.value))
+    assert texts == [want, want] and a.infeasible_count == 2
 
 
 def test_journal_records_the_exact_cost_of_every_transition():

@@ -90,6 +90,7 @@ def test_check_traces_pass_and_fail(tmp_path):
     assert report[0]["covered"] == report[0]["traces"]
     assert report[0]["uncovered"] == []
     assert report[0]["bound_ok"] is True
+    assert "bound_failed" not in report[0]
 
     # one state, but a request draws a reply: two semantic messages
     bad = tmp_path / "bad.json"
@@ -103,6 +104,7 @@ def test_check_traces_pass_and_fail(tmp_path):
     assert main(["check-traces", str(bad), "--out", str(tmp_path / "b")]) == 1
     report = json.loads((tmp_path / "b" / "traces.json").read_text())
     assert report[0]["bound_ok"] is False
+    assert "bound_failed" not in report[0]     # every run executed
 
 
 def test_check_bound_over_fixtures(tmp_path):
@@ -467,10 +469,16 @@ def test_unexecutable_accepting_run_fails_the_protocol(tmp_path, capsys):
     text = (ROOT / "protocols" / "subscribe_notify.json").read_text()
     p = tmp_path / "input.json"
     p.write_text(text.replace('"alert(smoke)"', '" alert(x)"'))
-    assert main(["check-traces", str(p)]) == 1
+    assert main(["check-traces", str(p), "--out", str(tmp_path / "o")]) == 1
     out, err = capsys.readouterr()
-    assert out.startswith("check-traces: subscribe_notify: ")
-    assert out.rstrip().endswith(": FAIL") and err == ""
+    reason = "INFORM source->listener ' alert(x)' not observed"
+    assert out == (
+        "check-traces: subscribe_notify: 1/3 traces covered to length 8, "
+        f"bound 0<=4: FAIL (an accepting run fails at step 1: {reason})\n")
+    assert err == ""
+    report = json.loads((tmp_path / "o" / "traces.json").read_text())
+    assert report[0]["bound_ok"] is False
+    assert report[0]["bound_failed"] == {"failed_at": 1, "reason": reason}
 
 
 def test_validate_sidecar_must_be_an_object(tmp_path, capsys):

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from muacp import wire
+from muacp import resources, wire
 from muacp.resources import (
     BoundCheckReport,
     BudgetLedger,
@@ -166,6 +166,30 @@ def test_ledger_equals_the_exact_budget_fold(model, budget, steps):
         assert got == want
         budget = budget if new is None else new
         assert ledger.budget == budget
+
+
+@settings(max_examples=200)
+@given(model_st, budget_st(), st.integers(0, 4000))
+def test_refused_ledger_charge_builds_its_text_from_integers(
+        model, budget, size):
+    _, want = _attempt(budget.charge, model.cost_of_size(size))
+    assume(want is not None)
+    ledger = BudgetLedger(budget, model)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refusal built a Fraction or a vector")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in ((resources, "Fraction"),
+                            (ResourceVector, "__post_init__"),
+                            (BudgetLedger, "_vector"),
+                            (CostModel, "cost_of_size")):
+            mp.setattr(owner, name, forbidden)
+        with pytest.raises(InfeasibleCharge) as e:
+            ledger.charge(size)
+        got = (type(e.value), str(e.value))
+    assert got == want
+    assert ledger.budget == budget
 
 
 # -- journal bound checking -----------------------------------------------------
