@@ -551,13 +551,11 @@ class Agent:
         subs = sorted(self.subscriptions.get(topic, ()))
         if cid is None:
             cid = self.fresh_cid()
-        return [
-            (
-                peer,
-                self.make_tell(literal_text, topic=topic, qos=qos, cid=cid),
-            )
-            for peer in subs
-        ]
+        if not subs:
+            return []
+        lit = parse_literal(literal_text)  # once, and only for a subscriber
+        return [(peer, self._tell(lit, cid, qos, topic=topic))
+                for peer in subs]
 
     # -- introspection ----------------------------------------------------
 

@@ -10,8 +10,9 @@
 Exit codes: 0 success, 1 a check or simulation found a violation,
 2 unusable input (missing file, malformed JSON or input file, bad
 --seeds, a protocol whose traces outgrow the enumeration cap).  Every
-input file, be it a config, protocol or distribution, is read by the
-typed reader in schema.py, and its errors name the field path.
+input file, be it a config, protocol, distribution or vector sidecar,
+is read by the typed reader in schema.py, and its errors name the
+field path.
 
 Every command that takes --out writes a manifest.json naming the run's
 inputs, seeds, and outputs.  The manifest (and bench-codec's
@@ -26,13 +27,14 @@ sim-scale reports (default 1.0).
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
 import os
 import random
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from . import __version__, compression, wire
 from .consensus import CampaignConfig, run_campaign
@@ -42,7 +44,7 @@ from .fipa import (
     check_trace_inclusion,
     procedural_bound_check,
 )
-from .schema import ConfigError
+from .schema import Config, ConfigError
 from .workloads import ScaleConfig, run_scale
 
 
@@ -408,6 +410,39 @@ def cmd_check_bound(args, argv) -> int:
 # -- validate --------------------------------------------------------------------
 
 
+class Expect(enum.Enum):
+    OK = "ok"
+    ERROR = "error"
+
+
+@dataclass(frozen=True, kw_only=True)
+class Sidecar(Config):
+    """What a vector's `.json` sidecar pins: the fields of the decoded
+    message (in their JSON form, a verb by name and bytes as hex), or
+    under `expect: error` the name of the WireError decoding raises
+    (any, when `error` is empty or absent)."""
+
+    correlation_id: int | None = None
+    error: str | None = None
+    expect: Expect = Expect.OK
+    flags: int | None = None
+    message_id: int | None = None
+    options: tuple[tuple[int, bytes], ...] | None = None
+    payload_hex: bytes | None = None
+    qos: int | None = None
+    sequence: int | None = None
+    size: int | None = None
+    verb: wire.Verb | None = None
+
+    def __post_init__(self) -> None:
+        pinned = [k for k, v in self.to_json().items()
+                  if v is not None and k not in ("expect", "error")]
+        if self.expect is Expect.ERROR and pinned:
+            raise ValueError(f"{pinned[0]}: not checked under expect: error")
+        if self.expect is Expect.OK and self.error is not None:
+            raise ValueError("error: not checked under expect: ok")
+
+
 def cmd_validate(args, argv) -> int:
     ok = True
     for path in args.vectors:
@@ -417,11 +452,8 @@ def cmd_validate(args, argv) -> int:
         except (OSError, ValueError) as e:
             raise UsageError(f"cannot read {path}: {e}") from e
         sidecar = os.path.splitext(path)[0] + ".json"
-        expect = None
-        if os.path.exists(sidecar):
-            expect = _load_json(sidecar)
-            if not isinstance(expect, dict):
-                raise UsageError(f"{sidecar}: expected a JSON object")
+        expect = (_load_config(sidecar, Sidecar)
+                  if os.path.exists(sidecar) else None)
         violations = wire.validate(blob)
         error_name = None
         msg = None
@@ -441,40 +473,33 @@ def cmd_validate(args, argv) -> int:
             continue
 
         failures = []
-        if expect.get("expect") == "error":
+        if expect.expect is Expect.ERROR:
             if error_name is None:
                 failures.append("decoded but an error was expected")
-            elif expect.get("error") and expect["error"] != error_name:
+            elif expect.error and expect.error != error_name:
                 failures.append(
-                    f"raised {error_name}, expected {expect['error']}"
+                    f"raised {error_name}, expected {expect.error}"
                 )
+        elif error_name is not None:
+            failures.append(f"failed to decode: {error_name}")
         else:
-            if error_name is not None:
-                failures.append(f"failed to decode: {error_name}")
-            elif msg is not None:
-                checks = {
-                    "verb": msg.header.verb.name,
-                    "qos": msg.header.qos,
-                    "flags": msg.header.flags,
-                    "message_id": msg.header.message_id,
-                    "sequence": msg.header.sequence,
-                    "correlation_id": msg.header.correlation_id,
-                    "payload_hex": msg.payload.hex(),
-                    "options": [
-                        [o.code, o.value.hex()] for o in msg.options
-                    ],
-                    "size": msg.wire_size,
-                }
-                for key, expected in expect.items():
-                    if key == "expect":
-                        continue
-                    if key not in checks:
-                        raise UsageError(f"{sidecar}: unknown field {key!r}")
-                    if checks[key] != expected:
-                        failures.append(
-                            f"{key}: got {checks[key]!r}, "
-                            f"expected {expected!r}"
-                        )
+            checks = {
+                "verb": msg.header.verb.name,
+                "qos": msg.header.qos,
+                "flags": msg.header.flags,
+                "message_id": msg.header.message_id,
+                "sequence": msg.header.sequence,
+                "correlation_id": msg.header.correlation_id,
+                "payload_hex": msg.payload.hex(),
+                "options": [[o.code, o.value.hex()] for o in msg.options],
+                "size": msg.wire_size,
+            }
+            for key, expected in expect.to_json().items():
+                if (key in checks and expected is not None
+                        and checks[key] != expected):
+                    failures.append(
+                        f"{key}: got {checks[key]!r}, expected {expected!r}"
+                    )
         if failures:
             ok = False
             print(f"validate: {path}: FAIL ({'; '.join(failures)})")

@@ -1,30 +1,37 @@
 """FIPA ACL performatives mapped onto the four-verb core.
 
-Thirteen performatives are supported.  Five are structural and map to
-distinct verb/option shapes; the remaining eight are procedural and
-ride on a base verb with a PROC option carrying the performative code
-and a CID option binding the message to its conversation:
+Thirteen performatives are supported.  `SHAPES` is the one table of
+their wire forms: each row names the verb, the header flags and where
+the content rides.  Five performatives are structural; the other eight
+are procedural and ride a base verb with a PROC option carrying the
+performative code and a CID option binding the message to its
+conversation:
 
     INFORM(s,r,phi)      -> TELL  with literal content phi
     REQUEST(s,r,alpha)   -> ASK   with action content alpha
-                            (the responder's reply is TELL done(alpha))
     QUERY_IF(s,r,phi)    -> ASK   with literal content phi
     SUBSCRIBE(s,r,t)     -> OBSERVE with topic t
     NOT_UNDERSTOOD(s,r,m)-> PING  with error flag and ERR detail m
     procedural f         -> base verb + PROC(code f) + CID(cid)
 
+`translate` builds an action's one message from its row, and `project`
+reads a delivered message back through the same table.  There are no
+reply templates: a responder's answer (TELL done(alpha) to a REQUEST)
+is whatever its `Agent` sends.
+
 Conversation protocols are finite automata over performative actions.
 A protocol file is the JSON form of `ConversationAutomaton`, read by
 the typed reader in `schema.py`: each transition is an action's fields
 plus "from" and "to".  A protocol that loads can run: `validate`
-translates every action once, so the wire's own limits apply, and
-parses every literal an agent would (its starting knowledge, a
-published INFORM).  The inclusion checker executes each automaton
-trace against real agents on a lossless simulated network: an action
-is matched against messages the agents already produced on their own
-(replies the verb semantics generates), and only unmatched actions are
-injected through the translation.  A trace is covered when every
-action appears, in order, with consistent conversation ids.
+translates every action once, so the wire's own limits apply, and has
+a probe agent build what an agent would from it (its starting
+knowledge, a published INFORM, the done(...) reply to a REQUEST).  The
+inclusion checker executes each automaton trace against real agents on
+a lossless simulated network: an action is matched against messages
+the agents already produced on their own (replies the verb semantics
+generates), and only unmatched actions are injected through the
+translation.  A trace is covered when every action appears, in order,
+with consistent conversation ids.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import wire
 from .agent import Agent, BadContent
@@ -41,7 +49,6 @@ from .wire import (
     CONTENT_ACTION,
     CONTENT_LITERAL,
     FLAG_ERROR,
-    FLAG_RESPONSE,
     Message,
     Option,
     OptionType,
@@ -65,30 +72,48 @@ class Performative(enum.Enum):
     PROXY = "proxy"
 
 
+class Shape(NamedTuple):
+    """One performative's wire form.  Its content rides in exactly one
+    of three places: a payload of `content_type`, the value of a
+    `carrier` option over an empty payload, or a payload with PROC
+    (`proc`) and CID options."""
+
+    verb: Verb
+    flags: int = 0
+    content_type: int | None = None
+    carrier: OptionType | None = None
+    proc: int | None = None
+
+
+#: The wire form of every performative.  Procedural solicitations ride
+#: ASK, procedural assertions ride TELL.
+SHAPES: dict[Performative, Shape] = {
+    Performative.INFORM: Shape(Verb.TELL, content_type=CONTENT_LITERAL),
+    Performative.REQUEST: Shape(Verb.ASK, content_type=CONTENT_ACTION),
+    Performative.QUERY_IF: Shape(Verb.ASK, content_type=CONTENT_LITERAL),
+    Performative.SUBSCRIBE: Shape(Verb.OBSERVE, carrier=OptionType.TOPIC),
+    Performative.NOT_UNDERSTOOD: Shape(
+        Verb.PING, FLAG_ERROR, carrier=OptionType.ERR),
+    Performative.AGREE: Shape(Verb.TELL, proc=1),
+    Performative.REFUSE: Shape(Verb.TELL, proc=2),
+    Performative.CFP: Shape(Verb.ASK, proc=3),
+    Performative.PROPOSE: Shape(Verb.TELL, proc=4),
+    Performative.ACCEPT_PROPOSAL: Shape(Verb.TELL, proc=5),
+    Performative.REJECT_PROPOSAL: Shape(Verb.TELL, proc=6),
+    Performative.FORWARD: Shape(Verb.TELL, proc=7),
+    Performative.PROXY: Shape(Verb.ASK, proc=8),
+}
+
 #: Procedural performatives and their one-byte PROC codes.
 PROC_CODES: dict[Performative, int] = {
-    Performative.AGREE: 1,
-    Performative.REFUSE: 2,
-    Performative.CFP: 3,
-    Performative.PROPOSE: 4,
-    Performative.ACCEPT_PROPOSAL: 5,
-    Performative.REJECT_PROPOSAL: 6,
-    Performative.FORWARD: 7,
-    Performative.PROXY: 8,
-}
-CODE_TO_PERFORMATIVE = {v: k for k, v in PROC_CODES.items()}
+    p: s.proc for p, s in SHAPES.items() if s.proc is not None}
 
-#: Base verb for each procedural performative: solicitations ride ASK,
-#: assertions ride TELL.
-_PROC_VERB = {
-    Performative.AGREE: Verb.TELL,
-    Performative.REFUSE: Verb.TELL,
-    Performative.CFP: Verb.ASK,
-    Performative.PROPOSE: Verb.TELL,
-    Performative.ACCEPT_PROPOSAL: Verb.TELL,
-    Performative.REJECT_PROPOSAL: Verb.TELL,
-    Performative.FORWARD: Verb.TELL,
-    Performative.PROXY: Verb.ASK,
+# SHAPES read backwards, for `project`.
+_BY_PROC = {code: p for p, code in PROC_CODES.items()}
+_BY_CARRIER = {s.verb: p for p, s in SHAPES.items() if s.carrier is not None}
+_BY_CONTENT_TYPE = {
+    (s.verb, bytes((s.content_type,))): p
+    for p, s in SHAPES.items() if s.content_type is not None
 }
 
 
@@ -124,127 +149,41 @@ class Edge(PerformativeAction):
     to: str
 
 
-@dataclass(frozen=True)
-class TranslatedMessage:
-    kind: str  # "forward" (to inject) | "reply" (expected-response template)
-    message: Message
+def content_of(action: PerformativeAction) -> str:
+    """The text an action's message carries: a SUBSCRIBE's topic, when
+    it names one, else the action's content."""
+    if (action.performative is Performative.SUBSCRIBE
+            and action.topic is not None):
+        return action.topic
+    return action.content
 
 
-def translate(action: PerformativeAction, cid: int) -> list[TranslatedMessage]:
-    """Map one performative action to its wire message(s).
+def translate(action: PerformativeAction, cid: int) -> Message:
+    """The one wire message of an action, built from its row of SHAPES.
 
-    Every message carries cid in the header correlation field.  REQUEST
-    additionally yields the reply template the responder semantics is
-    expected to produce; templates are never injected.
+    The header correlation field holds `cid & 0xFFFF`; a procedural
+    performative's CID option holds all of cid.
     """
-    p = action.performative
-    content = action.content.encode("utf-8")
-
-    def msg(verb, options=(), payload=b"", flags=0):
-        return wire.message(
-            verb,
-            flags=flags,
-            correlation_id=cid & 0xFFFF,
-            options=tuple(options),
-            payload=payload,
-        )
-
-    if p is Performative.INFORM:
-        return [
-            TranslatedMessage(
-                "forward",
-                msg(
-                    Verb.TELL,
-                    [wire.opt_content_type(CONTENT_LITERAL)],
-                    content,
-                ),
-            )
-        ]
-    if p is Performative.REQUEST:
-        done = f"done({action.content})".encode("utf-8")
-        return [
-            TranslatedMessage(
-                "forward",
-                msg(
-                    Verb.ASK,
-                    [wire.opt_content_type(CONTENT_ACTION)],
-                    content,
-                ),
-            ),
-            TranslatedMessage(
-                "reply",
-                msg(
-                    Verb.TELL,
-                    [wire.opt_content_type(CONTENT_LITERAL)],
-                    done,
-                    flags=FLAG_RESPONSE,
-                ),
-            ),
-        ]
-    if p is Performative.QUERY_IF:
-        return [
-            TranslatedMessage(
-                "forward",
-                msg(
-                    Verb.ASK,
-                    [wire.opt_content_type(CONTENT_LITERAL)],
-                    content,
-                ),
-            )
-        ]
-    if p is Performative.SUBSCRIBE:
-        topic = action.topic if action.topic is not None else action.content
-        return [
-            TranslatedMessage(
-                "forward", msg(Verb.OBSERVE, [wire.opt_topic(topic)])
-            )
-        ]
-    if p is Performative.NOT_UNDERSTOOD:
-        return [
-            TranslatedMessage(
-                "forward",
-                msg(
-                    Verb.PING,
-                    [wire.opt_err(action.content)],
-                    flags=FLAG_ERROR,
-                ),
-            )
-        ]
-    # Procedural: base verb + PROC + CID.
-    code = PROC_CODES[p]
-    return [
-        TranslatedMessage(
-            "forward",
-            msg(
-                _PROC_VERB[p],
-                [
-                    Option(OptionType.PROC, bytes((code,))),
-                    wire.opt_cid(cid),
-                ],
-                content,
-            ),
-        )
-    ]
+    shape = SHAPES[action.performative]
+    payload = content_of(action).encode("utf-8")
+    if shape.carrier is not None:
+        options, payload = (Option(shape.carrier, payload),), b""
+    elif shape.proc is not None:
+        options = (Option(OptionType.PROC, bytes((shape.proc,))),
+                   wire.opt_cid(cid))
+    else:
+        options = (wire.opt_content_type(shape.content_type),)
+    return wire.message(shape.verb, flags=shape.flags,
+                        correlation_id=cid & 0xFFFF, options=options,
+                        payload=payload)
 
 
-def mutated_translate(
-    action: PerformativeAction, cid: int
-) -> list[TranslatedMessage]:
-    """A deliberately wrong translation (REQUEST loses its action
-    content and becomes a bare TELL).  Exists so the checker's ability
+def mutated_translate(action: PerformativeAction, cid: int) -> Message:
+    """A deliberately wrong translation: a REQUEST is translated as an
+    INFORM, losing its action content.  Exists so the checker's ability
     to reject bad translations is itself testable."""
     if action.performative is Performative.REQUEST:
-        return [
-            TranslatedMessage(
-                "forward",
-                wire.message(
-                    Verb.TELL,
-                    correlation_id=cid & 0xFFFF,
-                    options=(wire.opt_content_type(CONTENT_LITERAL),),
-                    payload=action.content.encode("utf-8"),
-                ),
-            )
-        ]
+        action = replace(action, performative=Performative.INFORM)
     return translate(action, cid)
 
 
@@ -260,78 +199,39 @@ class ProjectedEvent:
     tick: int
 
 
-def project(msg: Message, sender: int, receiver: int, tick: int) -> ProjectedEvent | None:
-    """Classify a delivered message as a performative event, or None for
-    auxiliary traffic (acks, pongs, unknown-answers, app-level frames)."""
+def _performative_of(msg: Message) -> tuple[Performative, bytes] | None:
+    """The performative whose SHAPES row a message fits, and the
+    content it carries, or None."""
     h = msg.header
     proc = msg.find(OptionType.PROC)
-    if proc is not None and len(proc.value) == 1:
-        p = CODE_TO_PERFORMATIVE.get(proc.value[0])
-        if p is not None:
-            return ProjectedEvent(
-                p,
-                msg.payload.decode("utf-8", "replace"),
-                sender,
-                receiver,
-                h.correlation_id,
-                tick,
-            )
-    verb = h.verb
-    if verb == Verb.PING:
-        err = msg.find(OptionType.ERR)
-        if h.is_error and err is not None:
-            return ProjectedEvent(
-                Performative.NOT_UNDERSTOOD,
-                err.value.decode("utf-8", "replace"),
-                sender,
-                receiver,
-                h.correlation_id,
-                tick,
-            )
-        return None
+    if proc is not None and len(proc.value) == 1 and proc.value[0] in _BY_PROC:
+        return _BY_PROC[proc.value[0]], msg.payload
+    p = _BY_CARRIER.get(h.verb)
+    if p is not None:
+        shape = SHAPES[p]
+        carrier = msg.find(shape.carrier)
+        if carrier is None or (h.flags & shape.flags) != shape.flags:
+            return None
+        return p, carrier.value
     ct = msg.find(OptionType.CONTENT_TYPE)
-    if verb == Verb.TELL:
-        if msg.has(OptionType.ERR):
-            return None  # "unknown" answers are auxiliary
-        if ct is not None and ct.value == bytes((CONTENT_LITERAL,)):
-            return ProjectedEvent(
-                Performative.INFORM,
-                msg.payload.decode("utf-8", "replace"),
-                sender,
-                receiver,
-                h.correlation_id,
-                tick,
-            )
+    # A TELL that carries ERR is an "unknown" answer, not an INFORM.
+    if ct is None or (h.verb == Verb.TELL and msg.has(OptionType.ERR)):
         return None
-    if verb == Verb.ASK:
-        if ct is None:
-            return None
-        if ct.value == bytes((CONTENT_LITERAL,)):
-            tag = Performative.QUERY_IF
-        elif ct.value == bytes((CONTENT_ACTION,)):
-            tag = Performative.REQUEST
-        else:
-            return None
-        return ProjectedEvent(
-            tag,
-            msg.payload.decode("utf-8", "replace"),
-            sender,
-            receiver,
-            h.correlation_id,
-            tick,
-        )
-    if verb == Verb.OBSERVE:
-        topic = msg.find(OptionType.TOPIC)
-        if topic is not None:
-            return ProjectedEvent(
-                Performative.SUBSCRIBE,
-                topic.value.decode("utf-8", "replace"),
-                sender,
-                receiver,
-                h.correlation_id,
-                tick,
-            )
-    return None
+    p = _BY_CONTENT_TYPE.get((h.verb, ct.value))
+    return None if p is None else (p, msg.payload)
+
+
+def project(
+    msg: Message, sender: int, receiver: int, tick: int
+) -> ProjectedEvent | None:
+    """Classify a delivered message as a performative event by reading
+    SHAPES backwards, or None for auxiliary traffic (acks, pongs,
+    unknown-answers, app-level frames)."""
+    found = _performative_of(msg)
+    if found is None:
+        return None
+    return ProjectedEvent(found[0], found[1].decode("utf-8", "replace"),
+                          sender, receiver, msg.header.correlation_id, tick)
 
 
 @dataclass(frozen=True)
@@ -387,7 +287,9 @@ class ConversationAutomaton(Config):
             convs.add(e.conversation)
             try:
                 translate(e, 0)
-                if (e.performative is Performative.INFORM
+                if e.performative is Performative.REQUEST:
+                    probe.make_tell(f"done({e.content})", response=True)
+                elif (e.performative is Performative.INFORM
                         and e.topic is not None):
                     probe.make_tell(e.content, topic=e.topic)
             except (wire.WireError, BadContent) as x:
@@ -470,30 +372,31 @@ def enumerate_traces(
     max_len: int,
     cap: int = 100_000,
 ) -> list[tuple[Edge, ...]]:
-    """All nonempty prefixes of accepting runs, up to max_len actions.
+    """All nonempty prefixes of accepting runs, up to max_len actions,
+    shortest first.
 
     A prefix of an accepting run is exactly a path from the initial
     state that stays within co-accessible states.  Cycles are allowed;
-    the explosion cap turns runaway enumeration into TooLarge.
+    the cap bounds the actions the traces hold in all, which is the
+    work of executing them, and enumeration past it raises TooLarge.
     """
-    if max_len < 1:
-        return []
     ok = auto.coaccessible()
     out: list[tuple[Edge, ...]] = []
+    actions = 0
     frontier: list[tuple[str, tuple[Edge, ...]]] = [(auto.initial, ())]
-    for _ in range(max_len):
+    for length in range(1, max_len + 1):
         nxt: list[tuple[str, tuple[Edge, ...]]] = []
         for state, path in frontier:
             for e in auto.outgoing(state):
                 if e.to not in ok:
                     continue
+                actions += length
+                if actions > cap:
+                    raise TooLarge(f"more than {cap} actions in traces "
+                                   f"up to length {length}")
                 p = path + (e,)
                 out.append(p)
                 nxt.append((e.to, p))
-                if len(out) > cap:
-                    raise TooLarge(
-                        f"more than {cap} traces at length {len(p)}"
-                    )
         frontier = nxt
     return out
 
@@ -501,20 +404,11 @@ def enumerate_traces(
 def accepting_runs(
     auto: ConversationAutomaton, max_len: int, cap: int = 100_000
 ) -> list[tuple[Edge, ...]]:
-    """Complete runs (initial to accepting) of at most max_len actions."""
-    runs: list[tuple[Edge, ...]] = []
+    """Complete runs (initial to accepting) of at most max_len actions:
+    the traces of `enumerate_traces` that end in an accepting state."""
     accepting = set(auto.accepting)
-    stack: list[tuple[str, tuple[Edge, ...]]] = [(auto.initial, ())]
-    while stack:
-        state, path = stack.pop()
-        if state in accepting and path:
-            runs.append(path)
-        if len(path) >= max_len:
-            continue
-        for e in reversed(auto.outgoing(state)):
-            stack.append((e.to, path + (e,)))
-            if len(runs) + len(stack) > cap:
-                raise TooLarge(f"run enumeration exceeded {cap}")
+    runs = [t for t in enumerate_traces(auto, max_len, cap)
+            if t[-1].to in accepting]
     runs.sort(
         key=lambda r: (
             len(r),
@@ -604,13 +498,7 @@ class _TraceRun:
             return False
         if ev.receiver != self.role_ids[action.receiver]:
             return False
-        expected_content = (
-            action.topic
-            if action.performative is Performative.SUBSCRIBE
-            and action.topic is not None
-            else action.content
-        )
-        if ev.content != expected_content:
+        if ev.content != content_of(action):
             return False
         conv = action.conversation
         if conv in self.conv_cid:
@@ -639,11 +527,8 @@ class _TraceRun:
             ):
                 node.emit(self.net, peer, m, self.net.now)
             return
-        for tm in self.translate_fn(action, cid):
-            if tm.kind != "forward":
-                continue
-            msg = node.agent.restamp(tm.message)
-            node.emit(self.net, to, msg, self.net.now)
+        msg = node.agent.restamp(self.translate_fn(action, cid))
+        node.emit(self.net, to, msg, self.net.now)
 
     def execute(self, trace: tuple[Edge, ...]) -> TraceResult:
         pos = 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from muacp import agent as agent_module
 from muacp import resources, wire
 from muacp.agent import (
     Agent,
@@ -183,6 +184,28 @@ def test_publish_one_message_per_subscriber_shared_cid():
     cids = {m.header.correlation_id for _, m in out}
     assert len(cids) == 1
     assert all(m.payload == b"alert(smoke)" for _, m in out)
+
+
+def test_publish_parses_its_literal_once(monkeypatch):
+    b = Agent(9)
+    b.subscriptions["alerts"] = {2, 4, 7}
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_literal(text)
+
+    monkeypatch.setattr(agent_module, "parse_literal", counting)
+    out = b.publish("alerts", " !alert(smoke)", cid=5)
+    assert calls == [" !alert(smoke)"]
+    ref = Agent(9)
+    assert [m for _, m in out] == [
+        ref.make_tell(" !alert(smoke)", topic="alerts", cid=5)
+        for _ in range(3)]
+    # an unparseable literal raises only when someone would receive it
+    assert b.publish("quiet", "!!") == []
+    with pytest.raises(BadContent):
+        b.publish("alerts", "!!")
 
 
 def test_observe_without_topic_is_bad_content():

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, emitted files, run-to-run determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -419,7 +420,7 @@ def _dist(prob: str = "1.0", options: str = "[]",
                  id="protocol-published-inform-not-a-literal"),
     pytest.param("check-traces", json.dumps({**_PROTOCOL, "transitions": [
         {**_TRANSITION, "content": f"p{i}"} for i in range(5)]}),
-                 "more than 100000 traces", id="protocol-too-many-traces"),
+                 "more than 100000 actions", id="protocol-too-many-traces"),
     pytest.param("check-bound", "{not json", "cannot read",
                  id="dist-not-json"),
     pytest.param("check-bound", "[" * 100_000, "cannot read",
@@ -486,4 +487,64 @@ def test_validate_sidecar_must_be_an_object(tmp_path, capsys):
     v.write_text((ROOT / "vectors" / "ping_min.hex").read_text())
     (tmp_path / "m.json").write_text(json.dumps(["expect", "ok"]))
     _assert_usage_error(main(["validate", str(v)]), capsys,
-                        "expected a JSON object")
+                        "m.json: expected an object, got list")
+
+
+@pytest.mark.parametrize("vector, sidecar, expected", [
+    ("truncated", {"expect": "error", "eror": "BadVersion"},
+     "m.json: eror: unknown field"),
+    ("truncated", {"expect": "eror"},
+     "m.json: expect: expected one of 'ok', 'error', got 'eror'"),
+    ("truncated", {"expect": "error", "error": 5},
+     "m.json: error: expected str, got int"),
+    ("truncated", {"expect": "error", "qos": 0},
+     "m.json: qos: not checked under expect: error"),
+    ("ping_min", {"expect": "ok", "error": "Truncated"},
+     "m.json: error: not checked under expect: ok"),
+    ("ping_min", {"expect": "ok", "qos": "0"},
+     "m.json: qos: expected int, got str"),
+    ("ping_min", {"verb": "SHOUT"},
+     "m.json: verb: expected one of 'PING', 'TELL', 'ASK', 'OBSERVE'"),
+    ("ping_min", {"options": [[1, "zz"]]},
+     "m.json: options[0][1]: expected a hex string"),
+], ids=["unknown-key", "expect-unknown", "error-int", "pinned-under-error",
+        "error-under-ok", "qos-str", "verb-unknown", "option-not-hex"])
+def test_malformed_sidecar_exits_2(tmp_path, capsys, vector, sidecar,
+                                   expected):
+    v = tmp_path / "m.hex"
+    v.write_text((ROOT / "vectors" / f"{vector}.hex").read_text())
+    (tmp_path / "m.json").write_text(json.dumps(sidecar))
+    _assert_usage_error(main(["validate", str(v)]), capsys, expected)
+
+
+def test_sidecar_mismatch_names_each_field(tmp_path, capsys):
+    v = tmp_path / "m.hex"
+    v.write_text((ROOT / "vectors" / "ping_min.hex").read_text())
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"expect": "ok", "options": [[1, "00"]], "verb": "TELL"}))
+    assert main(["validate", str(v)]) == 1
+    assert capsys.readouterr().out == (
+        f"validate: {v}: FAIL (options: got [], expected [[1, '00']]; "
+        "verb: got 'PING', expected 'TELL')\n")
+
+
+# SHA-256 of the checker reports over the shipped inputs, named by
+# relative paths from the repository root.
+TRACES_SHA256 = (
+    "fd174a2d95d6f5607a3e9e48e9beee842a8cb1ddd7097adf4c932152f8dbd652")
+BOUNDS_SHA256 = (
+    "818d2b276324685ac7c41cbc332d975a32c6366b656ab2a37d765795afea9017")
+
+
+@pytest.mark.parametrize("command, inputs, report, digest", [
+    ("check-traces", "protocols", "traces.json", TRACES_SHA256),
+    ("check-bound", "configs/distributions", "bounds.json", BOUNDS_SHA256),
+], ids=["traces", "bounds"])
+def test_checker_reports_are_pinned(tmp_path, monkeypatch, command, inputs,
+                                    report, digest):
+    monkeypatch.chdir(ROOT)
+    paths = sorted(str(p.relative_to(ROOT))
+                   for p in (ROOT / inputs).glob("*.json"))
+    assert main([command, *paths, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / report).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

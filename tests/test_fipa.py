@@ -13,7 +13,9 @@ from muacp.fipa import (
     Performative,
     PerformativeAction,
     TooLarge,
+    accepting_runs,
     check_trace_inclusion,
+    content_of,
     enumerate_traces,
     load_protocol,
     mutated_translate,
@@ -34,48 +36,39 @@ def act(p, content="c", **kw):
 
 
 def test_inform_becomes_literal_tell():
-    (fw,) = translate(act(Performative.INFORM, "door_open"), cid=5)
-    assert fw.kind == "forward"
-    m = fw.message
+    m = translate(act(Performative.INFORM, "door_open"), cid=5)
     assert m.header.verb == Verb.TELL
     assert m.header.correlation_id == 5
     assert m.find(OptionType.CONTENT_TYPE).value == bytes((CONTENT_LITERAL,))
     assert m.payload == b"door_open"
 
 
-def test_request_becomes_action_ask_plus_reply_template():
-    fw, reply = translate(act(Performative.REQUEST, "reboot()"), cid=5)
-    assert (fw.kind, reply.kind) == ("forward", "reply")
-    assert fw.message.header.verb == Verb.ASK
-    assert fw.message.find(OptionType.CONTENT_TYPE).value == bytes(
-        (CONTENT_ACTION,)
-    )
-    assert reply.message.header.verb == Verb.TELL
-    assert reply.message.header.is_response
-    assert reply.message.payload == b"done(reboot())"
+def test_request_becomes_action_ask():
+    m = translate(act(Performative.REQUEST, "reboot()"), cid=5)
+    assert m.header.verb == Verb.ASK
+    assert m.find(OptionType.CONTENT_TYPE).value == bytes((CONTENT_ACTION,))
+    assert m.payload == b"reboot()"
 
 
 def test_query_if_becomes_literal_ask():
-    (fw,) = translate(act(Performative.QUERY_IF, "temp_ok"), cid=1)
-    assert fw.message.header.verb == Verb.ASK
-    assert fw.message.find(OptionType.CONTENT_TYPE).value == bytes(
-        (CONTENT_LITERAL,)
-    )
+    m = translate(act(Performative.QUERY_IF, "temp_ok"), cid=1)
+    assert m.header.verb == Verb.ASK
+    assert m.find(OptionType.CONTENT_TYPE).value == bytes((CONTENT_LITERAL,))
 
 
 def test_subscribe_becomes_observe_with_topic():
-    (fw,) = translate(
-        act(Performative.SUBSCRIBE, "alerts", topic="alerts"), cid=1
-    )
-    assert fw.message.header.verb == Verb.OBSERVE
-    assert fw.message.find(OptionType.TOPIC).value == b"alerts"
+    m = translate(act(Performative.SUBSCRIBE, "alerts", topic="alerts"), cid=1)
+    assert m.header.verb == Verb.OBSERVE
+    assert m.find(OptionType.TOPIC).value == b"alerts"
+    assert m.payload == b""
 
 
 def test_not_understood_becomes_error_ping():
-    (fw,) = translate(act(Performative.NOT_UNDERSTOOD, "bad"), cid=1)
-    assert fw.message.header.verb == Verb.PING
-    assert fw.message.header.is_error
-    assert fw.message.find(OptionType.ERR).value == b"bad"
+    m = translate(act(Performative.NOT_UNDERSTOOD, "bad"), cid=1)
+    assert m.header.verb == Verb.PING
+    assert m.header.is_error
+    assert m.find(OptionType.ERR).value == b"bad"
+    assert m.payload == b""
 
 
 @pytest.mark.parametrize(
@@ -92,8 +85,7 @@ def test_not_understood_becomes_error_ping():
     ],
 )
 def test_procedural_performatives_ride_proc_options(perf, verb):
-    (fw,) = translate(act(perf, "x"), cid=0xABCD)
-    m = fw.message
+    m = translate(act(perf, "x"), cid=0xABCD)
     assert m.header.verb == verb
     assert m.find(OptionType.PROC).value == bytes((PROC_CODES[perf],))
     assert wire.decode_u32(m.find(OptionType.CID).value) == 0xABCD
@@ -105,32 +97,42 @@ def test_proc_codes_are_distinct_single_bytes():
     assert all(1 <= c <= 255 for c in codes)
 
 
+def test_mutated_translation_sends_a_request_as_an_inform():
+    request = act(Performative.REQUEST, "go()")
+    assert mutated_translate(request, cid=3) == translate(
+        act(Performative.INFORM, "go()"), cid=3)
+    query = act(Performative.QUERY_IF, "p")
+    assert mutated_translate(query, cid=3) == translate(query, cid=3)
+
+
 # -- projection -------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "perf",
-    [
-        Performative.INFORM,
-        Performative.REQUEST,
-        Performative.QUERY_IF,
-        Performative.CFP,
-        Performative.PROPOSE,
-        Performative.REFUSE,
-        Performative.NOT_UNDERSTOOD,
-    ],
-)
+@pytest.mark.parametrize("perf", list(Performative))
 def test_projection_inverts_translation(perf):
-    (fw, *_) = translate(act(perf, "payload()"), cid=3)
-    ev = project(fw.message, sender=0, receiver=1, tick=9)
-    assert ev is not None
-    assert ev.tag == perf
-    assert (ev.sender, ev.receiver, ev.tick) == (0, 1, 9)
+    cid = 0x12345
+    for topic in (None, "alerts"):
+        action = act(perf, "payload()", topic=topic)
+        ev = project(translate(action, cid), sender=0, receiver=1, tick=9)
+        assert ev is not None
+        assert (ev.tag, ev.content, ev.cid) == (
+            perf, content_of(action), cid & 0xFFFF)
+        assert (ev.sender, ev.receiver, ev.tick) == (0, 1, 9)
+
+
+def test_ask_that_carries_err_still_projects():
+    # only a TELL that carries ERR is an auxiliary "unknown" answer
+    m = translate(act(Performative.QUERY_IF, "p"), cid=3)
+    m = wire.message(Verb.ASK, correlation_id=3,
+                     options=(*m.options, wire.opt_err("x")),
+                     payload=m.payload)
+    ev = project(m, 0, 1, 0)
+    assert (ev.tag, ev.content) == (Performative.QUERY_IF, "p")
 
 
 def test_subscribe_projects_topic_as_content():
-    (fw,) = translate(act(Performative.SUBSCRIBE, "alerts"), cid=3)
-    ev = project(fw.message, 0, 1, 0)
+    ev = project(translate(act(Performative.SUBSCRIBE, "alerts"), cid=3),
+                 0, 1, 0)
     assert ev.tag == Performative.SUBSCRIBE
     assert ev.content == "alerts"
 
@@ -205,6 +207,31 @@ def test_enumerate_traces_caps_explosions():
     assert len(enumerate_traces(auto, max_len=5)) == 5
     with pytest.raises(TooLarge):
         enumerate_traces(auto, max_len=50, cap=10)
+
+
+def test_trace_cap_counts_actions():
+    def loops(n):
+        edges = tuple(Edge(**vars(act(Performative.INFORM, f"p{i}")),
+                           frm="s0", to="s0") for i in range(n))
+        return ConversationAutomaton(
+            name="loops", roles=("a", "b"), states=("s0",), initial="s0",
+            accepting=("s0",), edges=edges)
+
+    # 3 loops: 9,840 traces holding sum(k * 3**k) actions to length 8
+    assert sum(map(len, enumerate_traces(loops(3), max_len=8))) == 73_812
+    # 4 loops: only 87,380 traces, but 669,924 actions to execute
+    with pytest.raises(TooLarge, match="more than 100000 actions"):
+        enumerate_traces(loops(4), max_len=8)
+    with pytest.raises(TooLarge, match="more than 100000 actions"):
+        accepting_runs(loops(4), max_len=8)
+
+
+def test_accepting_runs_end_in_accepting_states():
+    auto = load_protocol("protocols/contract_net.json")
+    runs = accepting_runs(auto, len(auto.states))
+    accepting = set(auto.accepting)
+    assert runs and all(r[-1].to in accepting for r in runs)
+    assert all(r[0].frm == auto.initial for r in runs)
 
 
 def test_product_relabels_conversations():
