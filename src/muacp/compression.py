@@ -36,6 +36,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
 from .schema import Config
 from .wire import (
@@ -180,6 +182,27 @@ def _h(probs) -> float:
     return -math.fsum(p * math.log2(p) for p in probs if p > 0)
 
 
+def _contexts(dist: MessageDistribution) -> dict:
+    """verb -> (P(verb), profile -> (P(verb, profile), payload -> p)),
+    in symbol order, from one walk over the sorted entries.  Each
+    marginal is summed with `+=` in entry order: a different order can
+    change the last bit of a float in the pinned check-bound report."""
+    contexts: dict = {}
+    for verb, of_verb in groupby(dist.entries, attrgetter("verb")):
+        pv = 0.0
+        profiles: dict = {}
+        for profile, of_context in groupby(of_verb, attrgetter("profile")):
+            pvo = 0.0
+            payloads = {}
+            for e in of_context:
+                pv += e.prob
+                pvo += e.prob
+                payloads[e.payload] = e.prob
+            profiles[profile] = (pvo, payloads)
+        contexts[verb] = (pv, profiles)
+    return contexts
+
+
 @dataclass(frozen=True)
 class EntropyReport:
     h_verb: float
@@ -197,31 +220,13 @@ class EntropyReport:
 
 def entropy(dist: MessageDistribution) -> EntropyReport:
     """Chain-rule decomposition by direct summation (no sampling)."""
-    p_verb: dict[int, float] = {}
-    p_vo: dict[tuple, float] = {}
-    for e in dist.entries:
-        p_verb[e.verb] = p_verb.get(e.verb, 0.0) + e.prob
-        key = (e.verb, e.profile)
-        p_vo[key] = p_vo.get(key, 0.0) + e.prob
-
-    h_v = _h(p_verb.values())
-
-    h_o = 0.0
-    for v, pv in sorted(p_verb.items()):
-        cond = [
-            p / pv for (vv, _), p in sorted(p_vo.items()) if vv == v
-        ]
-        h_o += pv * _h(cond)
-
-    h_p = 0.0
-    for (v, profile), pvo in sorted(p_vo.items()):
-        cond = [
-            e.prob / pvo
-            for e in dist.entries
-            if e.verb == v and e.profile == profile
-        ]
-        h_p += pvo * _h(cond)
-
+    contexts = _contexts(dist)
+    h_v = _h(pv for pv, _ in contexts.values())
+    h_o = h_p = 0.0
+    for pv, profiles in contexts.values():
+        h_o += pv * _h(pvo / pv for pvo, _ in profiles.values())
+        for pvo, payloads in profiles.values():
+            h_p += pvo * _h(p / pvo for p in payloads.values())
     return EntropyReport(h_v, h_o, h_p)
 
 
@@ -325,66 +330,44 @@ def build_tables(
 ) -> tuple[HuffmanTable, dict, dict]:
     """One verb table, one profile table per verb, one payload table
     per (verb, profile) context."""
-    p_verb: dict[int, float] = {}
-    for e in dist.entries:
-        p_verb[e.verb] = p_verb.get(e.verb, 0.0) + e.prob
-    verb_table = huffman(p_verb)
-
+    contexts = _contexts(dist)
+    verb_table = huffman({v: pv for v, (pv, _) in contexts.items()})
     profile_tables: dict[int, HuffmanTable] = {}
     payload_tables: dict[tuple, HuffmanTable] = {}
-    for v in sorted(p_verb):
-        weights: dict[Profile, float] = {}
-        for e in dist.entries:
-            if e.verb == v:
-                weights[e.profile] = weights.get(e.profile, 0.0) + e.prob
-        profile_tables[v] = huffman(weights)
-        for profile in sorted(weights):
-            pay = {
-                e.payload: e.prob
-                for e in dist.entries
-                if e.verb == v and e.profile == profile
-            }
-            payload_tables[(v, profile)] = huffman(pay)
+    for v, (_, profiles) in contexts.items():
+        profile_tables[v] = huffman(
+            {o: pvo for o, (pvo, _) in profiles.items()})
+        for o, (_, payloads) in profiles.items():
+            payload_tables[(v, o)] = huffman(payloads)
     return verb_table, profile_tables, payload_tables
 
 
-def check_bound(
-    dist: MessageDistribution,
-    *,
-    fixed_framing_bits: int = FIXED_FRAMING_BITS,
-    index_bits: int = INDEX_BITS,
-    slack_bits: int = HUFFMAN_SLACK_BITS,
-) -> BoundReport:
+def check_bound(dist: MessageDistribution) -> BoundReport:
     """Evaluate the expected compressed size against the entropy bound."""
     rep = entropy(dist)
     verb_table, profile_tables, payload_tables = build_tables(dist)
-
-    p_verb: dict[int, float] = {}
-    p_vo: dict[tuple, float] = {}
-    for e in dist.entries:
-        p_verb[e.verb] = p_verb.get(e.verb, 0.0) + e.prob
-        p_vo[(e.verb, e.profile)] = (
-            p_vo.get((e.verb, e.profile), 0.0) + e.prob
-        )
+    contexts = _contexts(dist)
 
     code_bits = verb_table.expected_length
-    for v, pv in sorted(p_verb.items()):
+    for v, (pv, _) in contexts.items():
         code_bits += pv * profile_tables[v].expected_length
-    for (v, profile), pvo in sorted(p_vo.items()):
-        code_bits += pvo * payload_tables[(v, profile)].expected_length
+    for v, (_, profiles) in contexts.items():
+        for o, (pvo, _) in profiles.items():
+            code_bits += pvo * payload_tables[(v, o)].expected_length
 
     e_k = math.fsum(e.prob * len(e.profile) for e in dist.entries)
     wire_bits = math.fsum(e.prob * e.wire_bits for e in dist.entries)
-    expected_total = fixed_framing_bits + index_bits + code_bits
+    expected_total = FIXED_FRAMING_BITS + INDEX_BITS + code_bits
     return BoundReport(
         entropy_bits=rep.h_total,
-        fixed_framing_bits=fixed_framing_bits,
-        index_bits=index_bits,
+        fixed_framing_bits=FIXED_FRAMING_BITS,
+        index_bits=INDEX_BITS,
         expected_code_bits=code_bits,
         expected_total_bits=expected_total,
-        bound_bits=rep.h_total + fixed_framing_bits + index_bits + slack_bits,
+        bound_bits=(rep.h_total + FIXED_FRAMING_BITS + INDEX_BITS
+                    + HUFFMAN_SLACK_BITS),
         expected_option_count=e_k,
-        refined_index_bits=e_k * index_bits,
+        refined_index_bits=e_k * INDEX_BITS,
         expected_wire_bits=wire_bits,
         alignment_slack_bits=wire_bits - expected_total,
         tables=1 + len(profile_tables) + len(payload_tables),

@@ -291,6 +291,11 @@ class Message(NamedTuple("Message", [
         return _new(cls, (header, options, payload,
                           HEADER_SIZE + 3 + section + len(payload)))
 
+    def __getnewargs__(self) -> tuple:
+        # Copies and unpickled messages go through __new__ again, so
+        # they are checked and their wire_size is worked out afresh.
+        return self[:3]
+
     @property
     def verb(self) -> Verb:
         return self.header.verb

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import wire
-from .agent import CT_LITERAL, Agent
+from .agent import CT_LITERAL, Agent, Literal
 from .fipa import PROC_CODES, Performative
 from .schema import Config
 from .simnet import BasicNode, MetricsReport, Network, SimConfig
@@ -92,14 +92,12 @@ class WorkloadStats:
         self.started: Counter = Counter()
         self.completed: Counter = Counter()
         self.failed: Counter = Counter()
-        self.latencies: dict[str, list[int]] = {}
 
     def start(self, kind: str) -> None:
         self.started[kind] += 1
 
-    def complete(self, kind: str, latency: int) -> None:
+    def complete(self, kind: str) -> None:
         self.completed[kind] += 1
-        self.latencies.setdefault(kind, []).append(latency)
 
     def fail(self, kind: str) -> None:
         self.failed[kind] += 1
@@ -127,7 +125,6 @@ class _Round:
     task: str
     committee: list[int]
     deadline: int
-    started_at: int
     proposals: set[int] = field(default_factory=set)
     refusals: set[int] = field(default_factory=set)
     awarded: int | None = None
@@ -153,7 +150,7 @@ class ScaleNode(BasicNode):
         self.stop_at = cfg.until - cfg.drain
         self.offset = (agent.id * 17) % cfg.rr_period
 
-        self.rr_outstanding: dict[int, int] = {}  # cid -> start tick
+        self.rr_outstanding: set[int] = set()  # cids of open asks
         self._answers_seen = 0
         self._timeouts_handled = 0
 
@@ -170,14 +167,15 @@ class ScaleNode(BasicNode):
         while self._answers_seen < len(answers):
             cid, _msg = answers[self._answers_seen]
             self._answers_seen += 1
-            started = self.rr_outstanding.pop(cid, None)
-            if started is not None:
-                self.stats.complete("request", now - started)
+            if cid in self.rr_outstanding:
+                self.rr_outstanding.remove(cid)
+                self.stats.complete("request")
         timeouts = self.agent.timeouts
         while self._timeouts_handled < len(timeouts):
             cid, _peer, _query = timeouts[self._timeouts_handled]
             self._timeouts_handled += 1
-            if self.rr_outstanding.pop(cid, None) is not None:
+            if cid in self.rr_outstanding:
+                self.rr_outstanding.remove(cid)
                 self.stats.fail("request")
 
     def _maybe_ask(self, net: Network, now: int) -> None:
@@ -195,7 +193,7 @@ class ScaleNode(BasicNode):
             deadline=self.cfg.rr_deadline,
         )
         if self.emit(net, peer, msg, now):
-            self.rr_outstanding[msg.header.correlation_id] = now
+            self.rr_outstanding.add(msg.header.correlation_id)
             self.stats.start("request")
 
     # -- contract rounds --------------------------------------------------
@@ -216,7 +214,6 @@ class ScaleNode(BasicNode):
             task=task,
             committee=committee,
             deadline=now + self.cfg.proposal_wait,
-            started_at=now,
         )
         self.stats.start("negotiation")
         # Each copy gets its own header correlation id so its QoS-1
@@ -248,7 +245,7 @@ class ScaleNode(BasicNode):
             if not r.proposals:
                 # Every member refused (or nothing arrived in time):
                 # the round terminates cleanly with no award.
-                self.stats.complete("negotiation", now - r.started_at)
+                self.stats.complete("negotiation")
                 self.round = None
                 self.next_round_at = now + self.cfg.round_pause
                 return
@@ -268,8 +265,7 @@ class ScaleNode(BasicNode):
                 self.emit(net, member, msg, now)
 
     def _complete_round(self, now: int) -> None:
-        r = self.round
-        self.stats.complete("negotiation", now - r.started_at)
+        self.stats.complete("negotiation")
         self.round = None
         self.next_round_at = now + self.cfg.round_pause
 
@@ -378,7 +374,7 @@ class ScaleNode(BasicNode):
                 return
             self.done_sent.add(key)
             task = msg.payload.decode("utf-8", "replace")
-            done = self.agent.make_tell(f"done({task})", qos=1)
+            done = self.agent._tell(Literal(f"done({task})"), None, qos=1)
             self.emit(net, sender, done, now)
             return
         # rejections need no action beyond the automatic acknowledgement

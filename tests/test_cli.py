@@ -548,3 +548,28 @@ def test_checker_reports_are_pinned(tmp_path, monkeypatch, command, inputs,
     assert main([command, *paths, "--out", str(tmp_path)]) == 0
     data = (tmp_path / report).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+#: SHA-256 of each `sim-consensus` output on consensus_n5 over seeds
+#: 0:20 with --log-first.  `corpus_dist.json` is written through
+#: `MessageDistribution`, so its grouping and sort order show here too.
+CONSENSUS_N5_SHA256 = {
+    "runs.csv":
+        "376a316aeb04338596a17d34effeacdf6ccafd48e9c913021464a2729bfdf962",
+    "summary.json":
+        "5f51dec0f8fca25f50a85e7abc2dbcb70eb6a5ab103165a1d6b057cee51b13dc",
+    "corpus_dist.json":
+        "a916a7b40f5186f74da66d096fcb6501f2d219c1a4bce4b137e6114ff40fd7b1",
+    "events_first_seed.jsonl":
+        "1b0b6b0fdaa7160a92f30c94dc5103ba32e64f2b00df1d59025a07c3976a8436",
+}
+
+
+def test_sim_consensus_outputs_are_pinned(tmp_path):
+    config = str(ROOT / "configs" / "consensus_n5.json")
+    assert main(["sim-consensus", "--config", config, "--seeds", "0:20",
+                 "--log-first", "--out", str(tmp_path)]) == 0
+    assert {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in CONSENSUS_N5_SHA256
+    } == CONSENSUS_N5_SHA256

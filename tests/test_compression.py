@@ -250,3 +250,114 @@ def test_report_extras():
     assert rep.refined_index_bits == pytest.approx(0.5 * INDEX_BITS)
     # expected wire bits: 0.5 * 11 bytes + 0.5 * (11 + 4) bytes
     assert rep.expected_wire_bits == pytest.approx((0.5 * 11 + 0.5 * 15) * 8)
+
+
+# -- one grouping pass against the per-context rescans ----------------------
+#
+# The three functions below are the earlier implementations, which
+# scanned every entry once per context.  The grouped pass must give the
+# same floats bit for bit, because the checker report is pinned.
+
+
+def _oracle_entropy(dist):
+    p_verb, p_vo = {}, {}
+    for e in dist.entries:
+        p_verb[e.verb] = p_verb.get(e.verb, 0.0) + e.prob
+        key = (e.verb, e.profile)
+        p_vo[key] = p_vo.get(key, 0.0) + e.prob
+    h_v = cz._h(p_verb.values())
+    h_o = 0.0
+    for v, pv in sorted(p_verb.items()):
+        h_o += pv * cz._h(
+            [p / pv for (vv, _), p in sorted(p_vo.items()) if vv == v])
+    h_p = 0.0
+    for (v, profile), pvo in sorted(p_vo.items()):
+        h_p += pvo * cz._h([
+            e.prob / pvo for e in dist.entries
+            if e.verb == v and e.profile == profile])
+    return cz.EntropyReport(h_v, h_o, h_p)
+
+
+def _oracle_tables(dist):
+    p_verb = {}
+    for e in dist.entries:
+        p_verb[e.verb] = p_verb.get(e.verb, 0.0) + e.prob
+    profile_tables, payload_tables = {}, {}
+    for v in sorted(p_verb):
+        weights = {}
+        for e in dist.entries:
+            if e.verb == v:
+                weights[e.profile] = weights.get(e.profile, 0.0) + e.prob
+        profile_tables[v] = huffman(weights)
+        for profile in sorted(weights):
+            payload_tables[(v, profile)] = huffman({
+                e.payload: e.prob for e in dist.entries
+                if e.verb == v and e.profile == profile})
+    return huffman(p_verb), profile_tables, payload_tables
+
+
+def _oracle_bound(dist):
+    rep = _oracle_entropy(dist)
+    verb_table, profile_tables, payload_tables = _oracle_tables(dist)
+    p_verb, p_vo = {}, {}
+    for e in dist.entries:
+        p_verb[e.verb] = p_verb.get(e.verb, 0.0) + e.prob
+        p_vo[(e.verb, e.profile)] = (
+            p_vo.get((e.verb, e.profile), 0.0) + e.prob)
+    code_bits = verb_table.expected_length
+    for v, pv in sorted(p_verb.items()):
+        code_bits += pv * profile_tables[v].expected_length
+    for (v, profile), pvo in sorted(p_vo.items()):
+        code_bits += pvo * payload_tables[(v, profile)].expected_length
+    e_k = math.fsum(e.prob * len(e.profile) for e in dist.entries)
+    wire_bits = math.fsum(e.prob * e.wire_bits for e in dist.entries)
+    expected_total = FIXED_FRAMING_BITS + INDEX_BITS + code_bits
+    return cz.BoundReport(
+        entropy_bits=rep.h_total,
+        fixed_framing_bits=FIXED_FRAMING_BITS,
+        index_bits=INDEX_BITS,
+        expected_code_bits=code_bits,
+        expected_total_bits=expected_total,
+        bound_bits=(rep.h_total + FIXED_FRAMING_BITS + INDEX_BITS
+                    + HUFFMAN_SLACK_BITS),
+        expected_option_count=e_k,
+        refined_index_bits=e_k * INDEX_BITS,
+        expected_wire_bits=wire_bits,
+        alignment_slack_bits=wire_bits - expected_total,
+        tables=1 + len(profile_tables) + len(payload_tables),
+    )
+
+
+@st.composite
+def _grouped_distributions(draw):
+    """Up to 4 x 6 (verb, profile) contexts, most holding several
+    payloads, so marginals sum many entries."""
+    profiles = draw(st.lists(
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                 max_size=2).map(tuple),
+        min_size=1, max_size=6, unique=True))
+    symbols = draw(st.lists(
+        st.tuples(st.sampled_from(list(V)), st.sampled_from(profiles),
+                  st.binary(max_size=2)),
+        min_size=1, max_size=80, unique=True))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(symbols),
+                            max_size=len(symbols)))
+    total = sum(weights)
+    return MessageDistribution([
+        DistEntry(v, o, p, w / total) for (v, o, p), w in zip(symbols, weights)
+    ])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grouped_distributions())
+def test_grouped_pass_equals_the_per_context_rescans(d):
+    assert entropy(d) == _oracle_entropy(d)
+    got, want = build_tables(d), _oracle_tables(d)
+    assert got[0].codewords == want[0].codewords
+    assert got[0].expected_length == want[0].expected_length
+    for mine, theirs in zip(got[1:], want[1:]):
+        assert mine.keys() == theirs.keys()
+        for key, table in mine.items():
+            assert table.codewords == theirs[key].codewords
+            assert table.expected_length == theirs[key].expected_length
+    assert check_bound(d).to_json() == _oracle_bound(d).to_json()

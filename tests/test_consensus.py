@@ -435,16 +435,23 @@ def test_campaign_config_seed_range_form():
 EXHAUSTIVE_STATES_AT_14 = 177_768
 
 
-def test_exhaustive_check_no_violations():
-    rep = exhaustive_interleaving_check(max_deliveries=14)
+@pytest.fixture(scope="module")
+def unpatched_at_14():
+    """One unpatched bound-14 search, shared by the tests that only
+    read its report."""
+    return exhaustive_interleaving_check(max_deliveries=14)
+
+
+def test_exhaustive_check_no_violations(unpatched_at_14):
+    rep = unpatched_at_14
     assert rep.ok
     assert rep.explored_states == EXHAUSTIVE_STATES_AT_14
     assert rep.delivered_bound == 14
 
 
-def test_exhaustive_check_smaller_bound_subset():
+def test_exhaustive_check_smaller_bound_subset(unpatched_at_14):
     small = exhaustive_interleaving_check(max_deliveries=10)
-    full = exhaustive_interleaving_check(max_deliveries=14)
+    full = unpatched_at_14
     assert small.ok and full.ok
     assert small.explored_states <= full.explored_states
 

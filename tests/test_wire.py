@@ -1,5 +1,8 @@
 """Codec: exact byte oracles, limit enforcement, roundtrip properties."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,6 +318,18 @@ def test_wire_values_equal_the_plain_tuple_of_their_fields():
     # but a plain pair is not an option: it skipped the option rules
     with pytest.raises(TypeError):
         message(Verb.ASK, options=[(300, b"")])
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_messages_copy_and_pickle(clone):
+    built = message(Verb.TELL, qos=1, correlation_id=7, payload=b"done(x)",
+                    options=[wire.opt_content_type(1), wire.opt_cid(9)])
+    for m in (built, decode(encode(built)), message(Verb.PING)):
+        twin = clone(m)
+        assert type(twin) is Message and type(twin.header) is Header
+        assert twin == m and encode(twin) == encode(m)
 
 
 # -- the checker and the constructors apply the same rules --------------------
