@@ -2,9 +2,11 @@
 
 Layers, bottom up: wire (binary codec), resources (cost accounting),
 agent (processing semantics), simnet (seeded discrete-event network),
-fipa (performative translation and protocol checking), consensus
-(single-decree agreement), compression (entropy analysis), workloads
-(scale traffic), cli (command line entry points).
+then three siblings over simnet that import none of each other: fipa
+(performative translation and protocol checking), consensus
+(single-decree agreement) and workloads (scale traffic); compression
+(entropy analysis) sits on wire, and cli (command line entry points)
+imports each layer only in the command that runs it.
 """
 
 __version__ = "0.1.0"

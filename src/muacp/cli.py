@@ -22,6 +22,10 @@ pure function of config and seed, byte for byte.
 The MUACP_TICK_MS environment variable, when set, overrides the config's
 tick_ms: how many milliseconds one simulation tick represents in
 sim-scale reports (default 1.0).
+
+Only the codec and the typed reader are imported with this module; each
+command imports the layers it runs (consensus, compression, fipa or
+workloads) when it starts, so a command compiles nothing it never runs.
 """
 
 from __future__ import annotations
@@ -36,16 +40,8 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-from . import __version__, compression, wire
-from .consensus import CampaignConfig, run_campaign
-from .fipa import (
-    ConversationAutomaton,
-    TooLarge,
-    check_trace_inclusion,
-    procedural_bound_check,
-)
+from . import __version__, wire
 from .schema import Config, ConfigError
-from .workloads import ScaleConfig, run_scale
 
 
 class UsageError(Exception):
@@ -115,15 +111,19 @@ def _csv(path: str, header: list[str], rows: list[list]) -> None:
             fp.write(",".join("" if v is None else str(v) for v in row) + "\n")
 
 
-def _parse_seeds(spec: str) -> list[int]:
-    """Accept '1,2,3' or 'start:count' naming at least one seed."""
+def _parse_seeds(spec: str, limit: int) -> list[int]:
+    """Accept '1,2,3' or 'start:count' naming at least one seed.  A
+    count above `limit` is refused before its list of seeds is built."""
     try:
         if ":" in spec:
             start, count = map(int, spec.split(":", 1))
+            if count > limit:
+                raise UsageError(
+                    f"--seeds: at most {limit} seeds, got {count}")
             seeds = list(range(start, start + count)) if count >= 0 else []
         else:
             seeds = [int(s) for s in spec.split(",") if s]
-    except (ValueError, OverflowError):
+    except ValueError:
         seeds = []
     if not seeds:
         raise UsageError(
@@ -253,9 +253,12 @@ _CAMPAIGN_COLUMNS = [
 
 
 def cmd_sim_consensus(args, argv) -> int:
+    from .compression import MessageDistribution
+    from .consensus import MAX_SEEDS, CampaignConfig, run_campaign
+
     cfg = _load_config(args.config, CampaignConfig)
     if args.seeds is not None:
-        cfg = replace(cfg, seeds=tuple(_parse_seeds(args.seeds)))
+        cfg = replace(cfg, seeds=tuple(_parse_seeds(args.seeds, MAX_SEEDS)))
     runs, corpus = run_campaign(cfg, collect_corpus=True)
 
     rows = [run.row() for run in runs]
@@ -287,7 +290,7 @@ def cmd_sim_consensus(args, argv) -> int:
             [[row[c] for c in _CAMPAIGN_COLUMNS] for row in rows],
         )
         _write_json(os.path.join(args.out, "summary.json"), summary)
-        dist = compression.MessageDistribution.from_counts(corpus)
+        dist = MessageDistribution.from_counts(corpus)
         _write_json(
             os.path.join(args.out, "corpus_dist.json"), dist.to_json()
         )
@@ -307,6 +310,8 @@ def cmd_sim_consensus(args, argv) -> int:
 
 
 def cmd_sim_scale(args, argv) -> int:
+    from .workloads import ScaleConfig, run_scale
+
     cfg = _load_config(args.config, ScaleConfig)
     cfg = replace(cfg, tick_ms=_tick_ms(cfg.tick_ms))
     report, net = run_scale(cfg, events=args.events)
@@ -344,6 +349,13 @@ def _trace_failure(result) -> dict:
 
 
 def cmd_check_traces(args, argv) -> int:
+    from .fipa import (
+        ConversationAutomaton,
+        TooLarge,
+        check_trace_inclusion,
+        procedural_bound_check,
+    )
+
     results = []
     ok = True
     for path in args.protocols:
@@ -388,11 +400,13 @@ def cmd_check_traces(args, argv) -> int:
 
 
 def cmd_check_bound(args, argv) -> int:
+    from .compression import MessageDistribution, check_bound
+
     reports = []
     ok = True
     for path in args.distributions:
-        dist = _load_config(path, compression.MessageDistribution)
-        rep = compression.check_bound(dist)
+        dist = _load_config(path, MessageDistribution)
+        rep = check_bound(dist)
         reports.append({"path": path, **rep.to_json()})
         ok = ok and rep.ok
         print(

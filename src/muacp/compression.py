@@ -220,7 +220,10 @@ class EntropyReport:
 
 def entropy(dist: MessageDistribution) -> EntropyReport:
     """Chain-rule decomposition by direct summation (no sampling)."""
-    contexts = _contexts(dist)
+    return _entropy(_contexts(dist))
+
+
+def _entropy(contexts: dict) -> EntropyReport:
     h_v = _h(pv for pv, _ in contexts.values())
     h_o = h_p = 0.0
     for pv, profiles in contexts.values():
@@ -330,7 +333,10 @@ def build_tables(
 ) -> tuple[HuffmanTable, dict, dict]:
     """One verb table, one profile table per verb, one payload table
     per (verb, profile) context."""
-    contexts = _contexts(dist)
+    return _build_tables(_contexts(dist))
+
+
+def _build_tables(contexts: dict) -> tuple[HuffmanTable, dict, dict]:
     verb_table = huffman({v: pv for v, (pv, _) in contexts.items()})
     profile_tables: dict[int, HuffmanTable] = {}
     payload_tables: dict[tuple, HuffmanTable] = {}
@@ -344,9 +350,9 @@ def build_tables(
 
 def check_bound(dist: MessageDistribution) -> BoundReport:
     """Evaluate the expected compressed size against the entropy bound."""
-    rep = entropy(dist)
-    verb_table, profile_tables, payload_tables = build_tables(dist)
     contexts = _contexts(dist)
+    rep = _entropy(contexts)
+    verb_table, profile_tables, payload_tables = _build_tables(contexts)
 
     code_bits = verb_table.expected_length
     for v, (pv, _) in contexts.items():

@@ -604,8 +604,12 @@ class DecreeOutcome:
         )
 
 
-def run_decree(config: DecreeConfig) -> DecreeOutcome:
-    """Execute one seeded decree to completion or the tick budget."""
+def run_decree(
+    config: DecreeConfig, *, events: bool = False
+) -> DecreeOutcome:
+    """Execute one seeded decree to completion or the tick budget.  Its
+    network records events in `log` only with `events` (see
+    `simnet.Network`); the outcome is the same either way."""
     proposer_ids = config.proposer_ids()
     values: dict[int, bytes] = {}
     if config.values is not None:
@@ -627,7 +631,7 @@ def run_decree(config: DecreeConfig) -> DecreeOutcome:
                 fd_timeout_cap=config.fd_timeout_cap,
             )
         )
-    net = Network(config.sim, participants)
+    net = Network(config.sim, participants, events=events)
     while net.now < config.until:
         net.step()
         if all(
@@ -655,6 +659,11 @@ def run_decree(config: DecreeConfig) -> DecreeOutcome:
 
 # -- seeded campaigns ---------------------------------------------------------
 
+#: Most seeds one campaign runs, from a config's `seed_count` or from
+#: `sim-consensus --seeds`; a larger count is refused before its list
+#: of seeds is built.
+MAX_SEEDS = 1_000_000
+
 
 @dataclass(frozen=True)
 class CampaignConfig(schema.Config):
@@ -681,6 +690,9 @@ class CampaignConfig(schema.Config):
             obj = dict(obj)
             start = schema.read(int, obj.pop("seed_base", 0), "seed_base")
             count = schema.read(int, obj.pop("seed_count", 1), "seed_count")
+            if count > MAX_SEEDS:
+                raise schema.ConfigError(
+                    f"seed_count: at most {MAX_SEEDS} seeds, got {count}")
             obj["seeds"] = list(range(start, start + count))
         return schema.from_json(cls, obj)
 
@@ -734,7 +746,9 @@ def run_campaign(
     cfg: CampaignConfig, *, collect_corpus: bool = False
 ) -> tuple[list[CampaignRun], Counter]:
     """Run every seed.  Returns the runs plus (optionally) a corpus of
-    message-shape counts harvested from every transmitted message."""
+    message-shape counts harvested from every transmitted message.  The
+    runs keep their event logs only with `collect_corpus`, which reads
+    them."""
     from .compression import symbol_of
 
     runs: list[CampaignRun] = []
@@ -744,7 +758,8 @@ def run_campaign(
             seed, cfg.base.n, cfg.crash_count, cfg.crash_window
         )
         sim = replace(cfg.base.sim, seed=seed, fault_schedule=schedule)
-        outcome = run_decree(replace(cfg.base, sim=sim))
+        outcome = run_decree(
+            replace(cfg.base, sim=sim), events=collect_corpus)
         runs.append(CampaignRun(seed=seed, outcome=outcome))
         if collect_corpus:
             for rec in outcome.log.records:

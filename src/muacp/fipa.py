@@ -14,6 +14,11 @@ conversation:
     NOT_UNDERSTOOD(s,r,m)-> PING  with error flag and ERR detail m
     procedural f         -> base verb + PROC(code f) + CID(cid)
 
+The PROC codes are the `wire.PROC_*` constants, which this table reads.
+Traffic that carries them, such as the contract-net rounds in
+`workloads`, takes them from `wire` and never loads this module:
+`fipa` and `workloads` are siblings over `simnet`.
+
 `translate` builds an action's one message from its row, and `project`
 reads a delivered message back through the same table.  There are no
 reply templates: a responder's answer (TELL done(alpha) to a REQUEST)
@@ -94,14 +99,16 @@ SHAPES: dict[Performative, Shape] = {
     Performative.SUBSCRIBE: Shape(Verb.OBSERVE, carrier=OptionType.TOPIC),
     Performative.NOT_UNDERSTOOD: Shape(
         Verb.PING, FLAG_ERROR, carrier=OptionType.ERR),
-    Performative.AGREE: Shape(Verb.TELL, proc=1),
-    Performative.REFUSE: Shape(Verb.TELL, proc=2),
-    Performative.CFP: Shape(Verb.ASK, proc=3),
-    Performative.PROPOSE: Shape(Verb.TELL, proc=4),
-    Performative.ACCEPT_PROPOSAL: Shape(Verb.TELL, proc=5),
-    Performative.REJECT_PROPOSAL: Shape(Verb.TELL, proc=6),
-    Performative.FORWARD: Shape(Verb.TELL, proc=7),
-    Performative.PROXY: Shape(Verb.ASK, proc=8),
+    Performative.AGREE: Shape(Verb.TELL, proc=wire.PROC_AGREE),
+    Performative.REFUSE: Shape(Verb.TELL, proc=wire.PROC_REFUSE),
+    Performative.CFP: Shape(Verb.ASK, proc=wire.PROC_CFP),
+    Performative.PROPOSE: Shape(Verb.TELL, proc=wire.PROC_PROPOSE),
+    Performative.ACCEPT_PROPOSAL: Shape(
+        Verb.TELL, proc=wire.PROC_ACCEPT_PROPOSAL),
+    Performative.REJECT_PROPOSAL: Shape(
+        Verb.TELL, proc=wire.PROC_REJECT_PROPOSAL),
+    Performative.FORWARD: Shape(Verb.TELL, proc=wire.PROC_FORWARD),
+    Performative.PROXY: Shape(Verb.ASK, proc=wire.PROC_PROXY),
 }
 
 #: Procedural performatives and their one-byte PROC codes.

@@ -108,6 +108,18 @@ K_MAX = 16
 CONTENT_LITERAL = 1
 CONTENT_ACTION = 2
 
+# PROC option values: the one-byte codes of the procedural performatives
+# (see fipa.SHAPES).  They live here, with the codec's other option
+# values, so that traffic can carry them without loading the FIPA layer.
+PROC_AGREE = 1
+PROC_REFUSE = 2
+PROC_CFP = 3
+PROC_PROPOSE = 4
+PROC_ACCEPT_PROPOSAL = 5
+PROC_REJECT_PROPOSAL = 6
+PROC_FORWARD = 7
+PROC_PROXY = 8
+
 
 class WireError(ValueError):
     """A byte string that is not a well-formed message.

@@ -27,16 +27,16 @@ from dataclasses import dataclass, field, replace
 
 from . import wire
 from .agent import CT_LITERAL, Agent, Literal
-from .fipa import PROC_CODES, Performative
 from .schema import Config
 from .simnet import BasicNode, MetricsReport, Network, SimConfig
 from .wire import Message, Option, OptionType, U32_MAX, Verb
 
-_PROC_CFP = bytes((PROC_CODES[Performative.CFP],))
-_PROC_PROPOSE = bytes((PROC_CODES[Performative.PROPOSE],))
-_PROC_REFUSE = bytes((PROC_CODES[Performative.REFUSE],))
-_PROC_ACCEPT = bytes((PROC_CODES[Performative.ACCEPT_PROPOSAL],))
-_PROC_REJECT = bytes((PROC_CODES[Performative.REJECT_PROPOSAL],))
+# From wire, not fipa: a scale run never loads the FIPA layer.
+_PROC_CFP = bytes((wire.PROC_CFP,))
+_PROC_PROPOSE = bytes((wire.PROC_PROPOSE,))
+_PROC_REFUSE = bytes((wire.PROC_REFUSE,))
+_PROC_ACCEPT = bytes((wire.PROC_ACCEPT_PROPOSAL,))
+_PROC_REJECT = bytes((wire.PROC_REJECT_PROPOSAL,))
 # Read once: enum member lookups are slow on the per-message path.
 _TELL, _ASK = Verb.TELL, Verb.ASK
 _PROC, _CONTENT_TYPE, _CID = (

@@ -1,16 +1,24 @@
 """Command-line surface: exit codes, emitted files, run-to-run determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muacp.cli import main
+from muacp.consensus import MAX_SEEDS
 from muacp.workloads import load_scale_config, run_scale
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -325,6 +333,29 @@ def test_bad_seeds_spec_exits_2(tmp_path, capsys, spec):
     _assert_usage_error(rc, capsys, "--seeds")
 
 
+@pytest.mark.parametrize("where", ["--seeds", "seed_count"])
+def test_a_huge_seed_count_exits_2_before_building_it(tmp_path, capsys,
+                                                       where):
+    count = 10**12
+    cfg = small_consensus_config(tmp_path)
+    argv = ["sim-consensus", "--config", str(cfg)]
+    if where == "--seeds":
+        argv += ["--seeds", f"0:{count}"]
+    else:
+        obj = json.loads(cfg.read_text())
+        obj["seed_count"] = count
+        cfg.write_text(json.dumps(obj))
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_usage_error(rc, capsys,
+                        f"{where}: at most {MAX_SEEDS} seeds, got {count}")
+    assert peak < 1 << 20
+
+
 _PROTOCOL = {
     "name": "p", "roles": ["a", "b"], "states": ["s0"], "initial": "s0",
     "accepting": ["s0"],
@@ -573,3 +604,162 @@ def test_sim_consensus_outputs_are_pinned(tmp_path):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in CONSENSUS_N5_SHA256
     } == CONSENSUS_N5_SHA256
+
+
+# -- what each entry point loads ----------------------------------------------
+
+# Each check runs in a fresh interpreter: this process has already
+# imported every layer.
+_LOADED = """
+import contextlib, io, sys
+{code}
+print(" ".join(sorted(m[6:] for m in sys.modules if m.startswith("muacp."))))
+"""
+
+_RUN_CLI = """
+from muacp.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+"""
+
+
+def _layers_loaded(code: str) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED.format(code=code)], check=True,
+        env=env, cwd=ROOT, capture_output=True, text=True).stdout
+    return set(out.split())
+
+
+def test_a_scale_run_never_loads_fipa():
+    loaded = _layers_loaded(
+        "from muacp.workloads import build_scale, load_scale_config\n"
+        "net, _ = build_scale(load_scale_config('configs/scale_n100.json'))\n"
+        "net.run(50)")
+    assert {"workloads", "simnet"} <= loaded
+    assert "fipa" not in loaded
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["validate", "vectors/ping_min.hex", "vectors/truncated.hex"],
+     {"simnet", "consensus", "fipa", "workloads", "compression"}),
+    (["check-bound", "configs/distributions/dyadic.json"],
+     {"simnet", "consensus", "fipa", "workloads"}),
+], ids=["validate", "check-bound"])
+def test_a_command_loads_only_its_layers(argv, absent):
+    loaded = _layers_loaded(_RUN_CLI.format(argv=argv))
+    assert "cli" in loaded
+    assert not loaded & absent, loaded & absent
+
+
+# -- hostile input, CLI-wide ----------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+_SIDECAR_KEYS = ["correlation_id", "error", "expect", "flags", "message_id",
+                 "options", "payload_hex", "qos", "sequence", "size", "verb"]
+_VECTORS = sorted(p.stem for p in (ROOT / "vectors").glob("*.hex"))
+_ENV_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\x00"), max_size=12)
+
+
+def _main_in_process(argv, env=None) -> tuple[int, str]:
+    """Run `main`; a traceback fails the test by raising.  Returns the
+    exit code and stderr, which on exit 2 is one `error:` line."""
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(argv)
+    text = err.getvalue()
+    assert rc in (0, 1, 2), rc
+    if rc == 2:
+        lines = text.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), text
+    else:
+        assert "error:" not in text, text
+    return rc, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector=st.sampled_from(_VECTORS),
+       edits=st.lists(st.tuples(st.sampled_from(_SIDECAR_KEYS + ["junk"]),
+                                st.none() | _JSON), max_size=3),
+       whole=st.none() | _JSON,
+       flips=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)),
+                      max_size=2))
+def test_hostile_vectors_and_sidecars_get_a_diagnosis(vector, edits, whole,
+                                                      flips):
+    blob = bytearray.fromhex(
+        (ROOT / "vectors" / f"{vector}.hex").read_text())
+    for at, byte in flips:
+        if blob:
+            blob[at % len(blob)] = byte
+    sidecar = json.loads((ROOT / "vectors" / f"{vector}.json").read_text())
+    for key, value in edits:
+        if value is None:
+            sidecar.pop(key, None)
+        else:
+            sidecar[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.hex"
+        path.write_text(blob.hex())
+        (Path(tmp) / "v.json").write_text(
+            json.dumps(sidecar if whole is None else whole))
+        _main_in_process(["validate", str(path)])
+
+
+_SEED = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
+_SEEDS_SPEC = st.one_of(
+    # At most three seeds run, so each example stays cheap.
+    st.builds("{}:{}".format, _SEED, st.integers(-2, 3)),
+    st.builds("{}:{}".format, _SEED,
+              st.integers(MAX_SEEDS + 1, 10**30)),
+    st.lists(_SEED.map(str), max_size=3).map(",".join),
+    # No ':' here: 'a:b' text could name thousands of seeds.
+    st.text("0123456789,-+ x_", max_size=6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_SEEDS_SPEC, seed_count=st.none() | st.integers(-2, 3)
+       | st.integers(MAX_SEEDS + 1, 10**30) | _JSON)
+def test_hostile_seeds_get_a_diagnosis(spec, seed_count):
+    obj = json.loads((ROOT / "configs" / "consensus_n3.json").read_text())
+    obj["base"]["until"] = 150
+    obj.pop("seed_count")   # the shipped file names 100 seeds
+    if seed_count is not None:
+        obj["seed_count"] = seed_count
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(json.dumps(obj))
+        for argv in ([f"--seeds={spec}"], []):
+            rc, err = _main_in_process(
+                ["sim-consensus", "--config", str(cfg), *argv])
+            if rc == 2 and argv:
+                assert "--seeds" in err or str(cfg) in err, err
+
+
+def _tiny_scale_config(tmp: Path) -> Path:
+    p = small_scale_config(tmp)
+    obj = json.loads(p.read_text())
+    obj.update(until=60, drain=20)
+    p.write_text(json.dumps(obj))
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw=_ENV_TEXT | st.floats().map(repr) | st.integers().map(str))
+def test_hostile_tick_ms_gets_a_diagnosis(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, err = _main_in_process(
+            ["sim-scale", "--config", str(_tiny_scale_config(Path(tmp)))],
+            env={"MUACP_TICK_MS": raw})
+    if rc == 2:
+        assert "MUACP_TICK_MS" in err, err

@@ -1,13 +1,14 @@
 """Single-decree agreement: shapes, acceptor rules, detector, campaigns."""
 
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from muacp import consensus, wire
+from muacp import consensus, simnet, wire
 from muacp.agent import Agent
 from muacp.compression import symbol_of
 from muacp.consensus import (
@@ -33,6 +34,7 @@ from muacp.consensus import (
     step,
     suspicion_bound,
 )
+from muacp.schema import ConfigError
 from muacp.simnet import Network, SimConfig
 from muacp.wire import FLAG_RESPONSE, Verb
 
@@ -383,6 +385,25 @@ def test_campaign_corpus_counts_every_sent_message():
         len(run.outcome.log.of_kind("send")) for run in runs)
 
 
+def test_campaign_without_corpus_keeps_no_event_records(monkeypatch):
+    base = DecreeConfig(
+        n=5,
+        sim=SimConfig(seed=0, gst=50, delta=5, drop_rate=0.03, dup_rate=0.02),
+    )
+    cfg = CampaignConfig(base=base, seeds=(0, 1, 2), crash_count=2)
+    logged, _ = run_campaign(cfg, collect_corpus=True)
+    assert all(run.outcome.log.records for run in logged)
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("an EventRecord was built")
+
+    monkeypatch.setattr(simnet, "EventRecord", no_record)
+    quiet, corpus = run_campaign(cfg)
+    assert corpus == Counter()
+    assert [run.outcome.log.records for run in quiet] == [[], [], []]
+    assert [run.row() for run in quiet] == [run.row() for run in logged]
+
+
 class PolledParticipant(Participant):
     """Test-only: woken every tick whatever `Participant.next_wake` says."""
 
@@ -424,6 +445,21 @@ def test_campaign_config_seed_range_form():
     assert cfg.seeds == (4, 5, 6)
     with pytest.raises(ValueError):
         CampaignConfig.from_json({**obj, "mystery": 1})
+
+
+def test_campaign_config_refuses_a_seed_count_before_building_it():
+    base = DecreeConfig(n=3, sim=lossless_sim())
+    obj = {"base": base.to_json(), "seed_count": 10**12}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as exc:
+            CampaignConfig.from_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (
+        f"seed_count: at most {consensus.MAX_SEEDS} seeds, got {10**12}")
+    assert peak < 1 << 20
 
 
 # -- exhaustive interleavings -------------------------------------------------

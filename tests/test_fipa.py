@@ -97,6 +97,15 @@ def test_proc_codes_are_distinct_single_bytes():
     assert all(1 <= c <= 255 for c in codes)
 
 
+def test_proc_codes_are_the_wire_constants():
+    # Traffic takes its PROC codes from wire without loading this module,
+    # so the table must read the same constants.
+    assert PROC_CODES == {
+        p: getattr(wire, f"PROC_{p.name}") for p in PROC_CODES}
+    assert sorted(PROC_CODES.values()) == sorted(
+        getattr(wire, n) for n in dir(wire) if n.startswith("PROC_"))
+
+
 def test_mutated_translation_sends_a_request_as_an_inform():
     request = act(Performative.REQUEST, "go()")
     assert mutated_translate(request, cid=3) == translate(
