@@ -182,7 +182,8 @@ class Agent:
         self.retransmits: dict[int, Retransmit] = {}
         self.subscriptions: dict[str, set[int]] = {}
         self.timeouts: list[tuple[int, int, str]] = []  # (cid, peer, query)
-        self.answers: list[tuple[int, Message]] = []    # resolved asks
+        # Inbox of resolved asks: the embedding that reads it clears it.
+        self.answers: list[tuple[int, Message]] = []
         self.infeasible_count = 0
 
         self.journal: list[JournalEntry] | None = [] if journal else None

@@ -267,20 +267,28 @@ def huffman(weights: dict) -> HuffmanTable:
     probs = {s: weights[s] / total for s in syms}
     codes = {s: "" for s in syms}
     if len(syms) > 1:
-        heap: list[tuple[float, int, list]] = []
-        for i, s in enumerate(syms):
-            heap.append((probs[s], i, [s]))
+        # Record the merge tree (a node is a symbol's index or the pair
+        # it merged, "0" side first) and write each codeword once in a
+        # walk from the root: prepending at every merge would cost the
+        # sum of the squared codeword lengths.
+        heap: list[tuple[float, int, object]] = [
+            (probs[s], i, i) for i, s in enumerate(syms)
+        ]
         heapq.heapify(heap)
         stamp = len(syms)
         while len(heap) > 1:
-            w0, _, group0 = heapq.heappop(heap)
-            w1, _, group1 = heapq.heappop(heap)
-            for s in group0:
-                codes[s] = "0" + codes[s]
-            for s in group1:
-                codes[s] = "1" + codes[s]
-            heapq.heappush(heap, (w0 + w1, stamp, group0 + group1))
+            w0, _, node0 = heapq.heappop(heap)
+            w1, _, node1 = heapq.heappop(heap)
+            heapq.heappush(heap, (w0 + w1, stamp, (node0, node1)))
             stamp += 1
+        stack = [(heap[0][2], "")]
+        while stack:
+            node, code = stack.pop()
+            if isinstance(node, int):
+                codes[syms[node]] = code
+            else:
+                stack.append((node[0], code + "0"))
+                stack.append((node[1], code + "1"))
     expected = math.fsum(probs[s] * len(codes[s]) for s in syms)
     return HuffmanTable(
         codewords=codes,

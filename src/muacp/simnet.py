@@ -29,7 +29,9 @@ The network always counts events by kind (`Network.counts`, read by
 A send record holds its `Message`, so a run that keeps records keeps
 every message it sent; the scale workload therefore keeps none unless
 its event log is asked for.  Counts, gauges, latencies and the seeded
-outputs built from them are the same either way.
+outputs built from them are the same either way.  Latencies are kept as
+an exact histogram (delivery delay in ticks -> count), so their memory
+grows with the number of distinct delays, not with the deliveries.
 
 A transmission travels as its `TransitionLabel`, an immutable
 `(sender, receiver, message)` tuple; the queue holds a plain
@@ -41,7 +43,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .agent import Agent, Infeasible, TransitionLabel
@@ -143,8 +144,7 @@ class SimEventLog:
         ]
 
 
-@dataclass
-class TickGauge:
+class TickGauge(NamedTuple):
     tick: int
     in_flight: int       # copies scheduled but not yet delivered/dropped
     max_backlog: int     # largest per-receiver pending count this tick
@@ -153,17 +153,26 @@ class TickGauge:
     dropped: int
 
 
-def _percentile(sorted_values: list[int], q: float) -> float:
-    """Nearest-rank percentile: the value at 1-based rank ceil(q * n),
-    clamped to 1..n (Hyndman and Fan 1996, definition 1).  The rank is
-    computed in integers from the decimal q denotes (0.99 is 99/100), so
-    float rounding never moves it."""
-    if not sorted_values:
+def _rank(n: int, percent: int) -> int:
+    """The 1-based nearest rank ceil(percent * n / 100), clamped to 1..n
+    and computed in integers, so float rounding never moves it."""
+    return max(1, min(n, -(-percent * n // 100)))
+
+
+def nearest_rank(hist: dict[int, int], percent: int) -> float:
+    """Nearest-rank percentile of the values a histogram (value -> count)
+    counts: the value at `_rank(n, percent)` in ascending order, where n
+    is the total count (Hyndman and Fan 1996, definition 1).  NaN when
+    the histogram counts nothing."""
+    n = sum(hist.values())
+    if not n:
         return float("nan")
-    n = len(sorted_values)
-    num, den = Fraction(repr(q)).as_integer_ratio()
-    rank = max(1, min(n, -(-num * n // den)))
-    return float(sorted_values[rank - 1])
+    rank = _rank(n, percent)
+    for value in sorted(hist):
+        rank -= hist[value]
+        if rank <= 0:
+            break
+    return float(value)
 
 
 @dataclass
@@ -176,13 +185,13 @@ class MetricsReport:
     crashes: int
     max_in_flight: int
     max_queue_depth: int   # max per-receiver pending over the whole run
-    latencies: list[int]
+    latencies: dict[int, int]  # delivery delay in ticks -> deliveries
     gauges: list[TickGauge]
     tick_ms: float = 1.0
 
     def latency_summary(self) -> dict:
-        data = sorted(self.latencies)
-        if not data:
+        hist = self.latencies
+        if not hist:
             return {
                 "count": 0,
                 "median": None,
@@ -191,11 +200,11 @@ class MetricsReport:
                 "max": None,
             }
         return {
-            "count": len(data),
-            "median": _percentile(data, 0.50),
-            "p95": _percentile(data, 0.95),
-            "p99": _percentile(data, 0.99),
-            "max": float(data[-1]),
+            "count": sum(hist.values()),
+            "median": nearest_rank(hist, 50),
+            "p95": nearest_rank(hist, 95),
+            "p99": nearest_rank(hist, 99),
+            "max": float(max(hist)),
         }
 
     def summary(self) -> dict:
@@ -269,7 +278,7 @@ class Network:
         self._tick_sent = 0
         self._tick_delivered = 0
         self._tick_dropped = 0
-        self._latencies: list[int] = []
+        self._latencies: dict[int, int] = {}  # delay -> deliveries
         self._gauges: list[TickGauge] = []
         self._max_in_flight = 0
         self._max_queue_depth = 0
@@ -425,7 +434,7 @@ class Network:
                 self._requery(aid)
 
         counts, events, crashed = self.counts, self.events, self.crashed
-        pending = self._pending_per_receiver
+        pending, latencies = self._pending_per_receiver, self._latencies
         for uid, label, send_tick in self._queue.pop(now, ()):
             sender, receiver, msg = label
             self._pending_total -= 1
@@ -446,7 +455,8 @@ class Network:
                     _VERB_NAMES[msg.header.verb],
                 ))
             self._tick_delivered += 1
-            self._latencies.append(now - send_tick)
+            delay = now - send_tick
+            latencies[delay] = latencies.get(delay, 0) + 1
             self._running = receiver
             self.nodes[receiver].on_deliver(self, label, now)
             self._running = None
@@ -455,16 +465,10 @@ class Network:
         backlog = max(self._pending_per_receiver.values(), default=0)
         self._max_in_flight = max(self._max_in_flight, self._pending_total)
         self._max_queue_depth = max(self._max_queue_depth, backlog)
-        self._gauges.append(
-            TickGauge(
-                tick=now,
-                in_flight=self._pending_total,
-                max_backlog=backlog,
-                sent=self._tick_sent,
-                delivered=self._tick_delivered,
-                dropped=self._tick_dropped,
-            )
-        )
+        self._gauges.append(TickGauge(
+            now, self._pending_total, backlog,
+            self._tick_sent, self._tick_delivered, self._tick_dropped,
+        ))
         self.now = now + 1
 
     def run(self, until: int) -> SimEventLog:
@@ -517,13 +521,14 @@ class BasicNode:
 
     def on_tick(self, net: Network, now: int) -> None:
         resends = self.agent.fire_timers(now)
-        new_timeouts = self.agent.timeouts[self._timeouts_seen:]
-        self._timeouts_seen = len(self.agent.timeouts)
-        for cid, peer, _query in new_timeouts:
-            net.note(
-                kind="timer", sender=self.id, receiver=peer,
-                reason="ask-timeout",
-            )
+        timeouts = self.agent.timeouts
+        if len(timeouts) > self._timeouts_seen:
+            for cid, peer, _query in timeouts[self._timeouts_seen:]:
+                net.note(
+                    kind="timer", sender=self.id, receiver=peer,
+                    reason="ask-timeout",
+                )
+            self._timeouts_seen = len(timeouts)
         for to, msg in resends:
             net.note(
                 kind="timer", sender=self.id, receiver=to,

@@ -151,7 +151,6 @@ class ScaleNode(BasicNode):
         self.offset = (agent.id * 17) % cfg.rr_period
 
         self.rr_outstanding: set[int] = set()  # cids of open asks
-        self._answers_seen = 0
         self._timeouts_handled = 0
 
         self.round: _Round | None = None
@@ -162,14 +161,17 @@ class ScaleNode(BasicNode):
 
     # -- request/response ----------------------------------------------
 
-    def _harvest(self, now: int) -> None:
+    def _harvest_answers(self) -> None:
+        """Complete the asks the agent has just resolved and empty its
+        answers inbox, so an answer is held only until its delivery ends."""
         answers = self.agent.answers
-        while self._answers_seen < len(answers):
-            cid, _msg = answers[self._answers_seen]
-            self._answers_seen += 1
+        for cid, _msg in answers:
             if cid in self.rr_outstanding:
                 self.rr_outstanding.remove(cid)
                 self.stats.complete("request")
+        answers.clear()
+
+    def _harvest_timeouts(self) -> None:
         timeouts = self.agent.timeouts
         while self._timeouts_handled < len(timeouts):
             cid, _peer, _query = timeouts[self._timeouts_handled]
@@ -273,11 +275,8 @@ class ScaleNode(BasicNode):
 
     def next_wake(self, now: int) -> int | None:
         """The earliest of the agent's next timer, this node's next ask
-        tick and an initiator's next round step; the next tick while
-        answers wait to be harvested."""
+        tick and an initiator's next round step."""
         soon = now + 1
-        if self._answers_seen < len(self.agent.answers):
-            return soon
         at = super().next_wake(now)
         ask = max(soon, self.offset)
         ask += (self.offset - ask) % self.cfg.rr_period
@@ -303,7 +302,7 @@ class ScaleNode(BasicNode):
 
     def on_tick(self, net: Network, now: int) -> None:
         super().on_tick(net, now)
-        self._harvest(now)
+        self._harvest_timeouts()
         self._maybe_ask(net, now)
         if self.initiator:
             self._advance_round(net, now)
@@ -311,6 +310,8 @@ class ScaleNode(BasicNode):
     def on_deliver(self, net: Network, label, now: int) -> None:
         if not super().on_deliver(net, label, now):
             return
+        if self.agent.answers:
+            self._harvest_answers()
         sender, _, msg = label
         proc = msg.find(_PROC)
         if proc is not None:

@@ -1,6 +1,7 @@
 """Entropy accounting, Huffman optimality bounds, the encoder budget."""
 
 import glob
+import heapq
 import json
 import math
 import random
@@ -183,6 +184,37 @@ def test_huffman_deterministic_under_insertion_order():
     a = huffman(weights)
     b = huffman(dict(reversed(list(weights.items()))))
     assert a.codewords == b.codewords
+
+
+def _prepend_codewords(weights):
+    """Oracle: the textbook construction that prepends one bit to every
+    codeword of both merged groups, with the same tie order as `huffman`."""
+    syms = sorted(weights)
+    total = math.fsum(weights.values())
+    codes = {s: "" for s in syms}
+    heap = [(weights[s] / total, i, [s]) for i, s in enumerate(syms)]
+    heapq.heapify(heap)
+    stamp = len(syms)
+    while len(heap) > 1:
+        w0, _, group0 = heapq.heappop(heap)
+        w1, _, group1 = heapq.heappop(heap)
+        for s in group0:
+            codes[s] = "0" + codes[s]
+        for s in group1:
+            codes[s] = "1" + codes[s]
+        heapq.heappush(heap, (w0 + w1, stamp, group0 + group1))
+        stamp += 1
+    return codes
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.text("abc", min_size=1, max_size=4),
+                       st.integers(1, 4), min_size=1, max_size=40))
+def test_huffman_codewords_match_the_prepend_construction(weights):
+    # Weights from a small range, so most merges break a tie.
+    got = huffman(weights).codewords
+    want = _prepend_codewords(weights)
+    assert list(got.items()) == list(want.items())
 
 
 @settings(max_examples=150)

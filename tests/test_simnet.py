@@ -8,11 +8,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from muacp import workloads
 from muacp.agent import Agent, TransitionLabel
 from muacp.resources import CostModel, ResourceBudget, ResourceVector
-from muacp.simnet import BasicNode, Network, SimConfig, _percentile
+from muacp.simnet import BasicNode, Network, SimConfig, _rank, nearest_rank
 from muacp.fipa import PROC_CODES, Performative
 from muacp.wire import Option, OptionType, Verb, encode, opt_cid
 from muacp.workloads import ScaleNode, load_scale_config, run_scale
@@ -267,18 +269,30 @@ def test_qos1_exchange_reaches_quiescence():
 # -- metrics -----------------------------------------------------------------
 
 
-def test_percentile_nearest_rank():
-    vals = sorted([10, 20, 30, 40])
-    assert _percentile(vals, 0.50) == 20
-    assert _percentile(vals, 0.75) == 30
-    assert _percentile(vals, 0.99) == 40
-    assert _percentile([5], 0.5) == 5
+def test_nearest_rank():
+    hist = Counter([10, 20, 30, 40])
+    assert nearest_rank(hist, 50) == 20
+    assert nearest_rank(hist, 75) == 30
+    assert nearest_rank(hist, 99) == 40
+    assert nearest_rank({5: 1}, 50) == 5
     # oracle: rank ceil(pct * n / 100) in integers; n = 2099 is the first
     # size where a truncated float product puts p99 one rank low
-    assert _percentile(range(2099), 0.99) == 2078
+    assert nearest_rank(Counter(range(2099)), 99) == 2078
     for n in range(1, 100_001):
-        for q, pct in ((0.50, 50), (0.95, 95), (0.99, 99)):
-            assert _percentile(range(n), q) == -(-pct * n // 100) - 1, (n, q)
+        for pct in (50, 95, 99):
+            assert _rank(n, pct) == -(-pct * n // 100), (n, pct)
+
+
+@given(st.lists(st.integers(0, 30), max_size=300))
+def test_nearest_rank_of_a_histogram_matches_the_sorted_list(xs):
+    hist = Counter(xs)
+    data = sorted(xs)
+    for pct in (50, 95, 99):
+        got = nearest_rank(hist, pct)
+        if not data:
+            assert got != got  # NaN: nothing was counted
+        else:
+            assert got == data[-(-pct * len(data) // 100) - 1], pct
 
 
 def test_metrics_summary_shape():
@@ -417,6 +431,30 @@ def test_most_woken_nodes_transmit(monkeypatch):
     run_scale(cfg)
     assert 0 < ticks < cfg.n * cfg.until
     assert useful / ticks >= 0.5
+
+
+def test_a_scale_run_keeps_no_resolved_ask():
+    cfg = load_scale_config(str(ROOT / "configs" / "scale_n100.json"))
+    report, net = run_scale(cfg)
+    assert report.workload["clean"]
+    for node in net.nodes.values():
+        assert node.agent.answers == []
+        assert node.rr_outstanding == set()
+
+
+def test_an_answer_completes_its_ask_in_the_tick_it_is_delivered():
+    cfg = workloads.ScaleConfig(n=20, until=300, drain=60, cnet_initiators=4)
+    net, stats = workloads.build_scale(cfg)
+    while net.now < cfg.until:
+        net.step()
+        # An ask the agent no longer waits on is no longer outstanding.
+        outstanding = 0
+        for node in net.nodes.values():
+            assert node.rr_outstanding <= node.agent.pending_asks.keys()
+            outstanding += len(node.rr_outstanding)
+        assert (stats.completed["request"] + stats.failed["request"]
+                + outstanding == stats.started["request"])
+    assert stats.completed["request"] > 0
 
 
 #: SHA-256 of the event log of the run below, as written when every node
