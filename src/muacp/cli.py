@@ -40,7 +40,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-from . import __version__, wire
+from . import __version__, schema, wire
 from .schema import Config, ConfigError
 
 
@@ -66,19 +66,11 @@ def _tick_ms(default: float) -> float:
     return value
 
 
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            return json.load(fp)
-    except (OSError, ValueError, RecursionError) as e:
-        raise UsageError(f"cannot read {path}: {e}") from e
-
-
 def _load_config(path: str, cls):
     try:
-        return cls.from_json(_load_json(path))
+        return schema.load(path, cls)
     except ConfigError as e:
-        raise UsageError(f"{path}: {e}") from e
+        raise UsageError(str(e)) from e
 
 
 def _write_json(path: str, obj) -> None:
@@ -244,14 +236,6 @@ def cmd_bench_codec(args, argv) -> int:
 # -- sim-consensus ---------------------------------------------------------------
 
 
-_CAMPAIGN_COLUMNS = [
-    "seed", "n", "crashed", "decided", "survivors",
-    "all_survivors_decided", "safety_ok", "core_messages", "prepares",
-    "promises", "accepts", "accepteds", "nacks", "decides",
-    "first_decision_tick", "last_decision_tick", "ticks",
-]
-
-
 def cmd_sim_consensus(args, argv) -> int:
     from .compression import MessageDistribution
     from .consensus import MAX_SEEDS, CampaignConfig, run_campaign
@@ -286,8 +270,8 @@ def cmd_sim_consensus(args, argv) -> int:
         os.makedirs(args.out, exist_ok=True)
         _csv(
             os.path.join(args.out, "runs.csv"),
-            _CAMPAIGN_COLUMNS,
-            [[row[c] for c in _CAMPAIGN_COLUMNS] for row in rows],
+            list(rows[0]),  # a campaign runs at least one seed
+            [list(row.values()) for row in rows],
         )
         _write_json(os.path.join(args.out, "summary.json"), summary)
         dist = MessageDistribution.from_counts(corpus)

@@ -32,7 +32,6 @@ entries against the wire's limits and of the probabilities' sum.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -168,11 +167,6 @@ def symbol_of(m: Message) -> tuple:
         tuple((o.code, len(o.value)) for o in m.options),
         m.payload,
     )
-
-
-def load_distribution(path: str) -> MessageDistribution:
-    with open(path, "r", encoding="utf-8") as fp:
-        return MessageDistribution.from_json(json.load(fp))
 
 
 # -- entropy -----------------------------------------------------------------

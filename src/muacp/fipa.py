@@ -42,7 +42,6 @@ with consistent conversation ids.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -367,11 +366,6 @@ class ConversationAutomaton(Config):
             nesting_depth=self.nesting_depth + other.nesting_depth,
             knowledge=knowledge,
         )
-
-
-def load_protocol(path: str) -> ConversationAutomaton:
-    with open(path, "r", encoding="utf-8") as fp:
-        return ConversationAutomaton.from_json(json.load(fp))
 
 
 def enumerate_traces(

@@ -11,7 +11,8 @@ its name.  A field's JSON key is its name unless `metadata["json"]`
 gives the file's own spelling (a keyword such as "from", say).  Each
 problem, a failing `__post_init__` check included, is a ConfigError
 naming the field path, e.g.
-`base.sim.fault_schedule[0]: expected 2 items, got 1`.
+`base.sim.fault_schedule[0]: expected 2 items, got 1`.  `load` reads a
+config file; its errors also name the file.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import json
 import math
 import typing
 from dataclasses import MISSING
@@ -162,3 +164,18 @@ class Config:
     @classmethod
     def from_json(cls, obj):
         return from_json(cls, obj)
+
+
+def load(path: str, cls):
+    """Read the UTF-8 JSON file `path` as the config class `cls` (through
+    `cls.from_json`).  A file that cannot be read or parsed, or that
+    does not match `cls`, is a ConfigError naming `path`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            obj = json.load(fp)
+    except (OSError, ValueError, RecursionError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+    try:
+        return cls.from_json(obj)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e

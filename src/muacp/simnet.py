@@ -23,15 +23,27 @@ from outside the loop are covered too.  A node must therefore report
 every tick at which on_tick has work: on any other tick on_tick must be
 a no-op, and a node that is not sure returns `now + 1` and is polled.
 
-The network always counts events by kind (`Network.counts`, read by
-`metrics()`), but builds an `EventRecord` per event only when made with
-`events=True`, the default; with `events=False` `net.log` stays empty.
-A send record holds its `Message`, so a run that keeps records keeps
-every message it sent; the scale workload therefore keeps none unless
-its event log is asked for.  Counts, gauges, latencies and the seeded
-outputs built from them are the same either way.  Latencies are kept as
-an exact histogram (delivery delay in ticks -> count), so their memory
-grows with the number of distinct delays, not with the deliveries.
+Every event passes through `Network.note`: the network's own sends,
+loss and crashed-receiver drops, duplicates and deliveries, and the
+crashes, timers and refusals that nodes report.  It is the one place
+that counts an event by kind (`Network.counts`, read by `metrics()`)
+and the one place that builds its `EventRecord`, which it does only when
+the network was made with `events=True`, the default; with
+`events=False` `net.log` stays empty.  A send record holds its
+`Message`, so a run that keeps records keeps every message it sent; the
+scale workload therefore keeps none unless its event log is asked for.
+Counts, gauges, latencies and the seeded outputs built from them are the
+same either way.  Latencies are kept as an exact histogram (delivery
+delay in ticks -> count), so their memory grows with the number of
+distinct delays, not with the deliveries.
+
+Each `step` appends one `TickGauge`.  Its `sent` and `delivered` are the
+tick's growth in `counts`, and its `dropped` counts only the copies the
+network drops in the tick (loss and crashed receivers); the report's
+`drops` also counts the rate-cap and budget refusals of nodes, so the
+gauges' dropped column can sum to less.  A send made between two `step`
+calls (from outside the loop), and its loss, is counted in the report
+but in no tick's gauge.
 
 A transmission travels as its `TransitionLabel`, an immutable
 `(sender, receiver, message)` tuple; the queue holds a plain
@@ -275,13 +287,12 @@ class Network:
         self._drop_streak: dict[tuple[int, int, int], int] = {}
         self._pending_total = 0
         self._pending_per_receiver: dict[int, int] = {}
-        self._tick_sent = 0
-        self._tick_delivered = 0
+        # Copies the network dropped this tick.  `counts["drop"]` cannot
+        # stand in for it: it also counts the rate-cap and budget
+        # refusals nodes note, which never reach the wire.
         self._tick_dropped = 0
         self._latencies: dict[int, int] = {}  # delay -> deliveries
         self._gauges: list[TickGauge] = []
-        self._max_in_flight = 0
-        self._max_queue_depth = 0
         # Wake-ups: tick -> ids of the nodes due then, and each scheduled
         # node's tick, so a node can be moved when it is asked again.
         self._wakes: dict[int, set[int]] = {}
@@ -305,22 +316,26 @@ class Network:
         sender: int | None = None,
         receiver: int | None = None,
         *,
+        uid: int | None = None,
+        size: int | None = None,
         verb: Verb | None = None,
         reason: str | None = None,
+        message: Message | None = None,
     ) -> None:
-        """Count one event that is not a send or delivery and, with
-        `events`, record it at the current tick."""
+        """Count one event by kind and, with `events`, record it at the
+        current tick: every event of a run, the network's own included,
+        is counted and recorded here and nowhere else."""
         self.counts[kind] += 1
         if self.events:
             self.log.append(EventRecord(
-                self.now, kind, sender, receiver,
-                verb=None if verb is None else _VERB_NAMES[verb],
-                reason=reason,
+                self.now, kind, sender, receiver, uid, size,
+                None if verb is None else _VERB_NAMES[verb], reason, message,
             ))
 
     def transmit(self, label: TransitionLabel, now: int) -> int:
         """Schedule one transmission (plus a possible duplicate) and
-        log the send.  Returns the copy count actually scheduled."""
+        note the send.  `now` is the current tick, `self.now`, at which
+        the send is recorded.  Returns the copy count actually scheduled."""
         sender, receiver, msg = label
         if sender in self.crashed:
             raise RuntimeError(f"crashed agent {sender} cannot send")
@@ -328,14 +343,10 @@ class Network:
         self._sends_this_tick[sender] = self._sends_this_tick.get(sender, 0) + 1
         uid = self._uid
         self._uid += 1
-        counts = self.counts
-        counts["send"] += 1
-        if self.events:
-            self.log.append(EventRecord(
-                now, "send", sender, receiver, uid, msg.wire_size,
-                _VERB_NAMES[msg.header.verb], None, msg,
-            ))
-        self._tick_sent += 1
+        self.note(
+            "send", sender, receiver, uid=uid, size=msg.wire_size,
+            verb=msg.header.verb, message=msg,
+        )
 
         synchronous = now >= cfg.gst
         streak_key = (sender, receiver, msg.header.message_id)
@@ -353,11 +364,7 @@ class Network:
             self._drop_streak[streak_key] = (
                 self._drop_streak.get(streak_key, 0) + 1
             )
-            counts["drop"] += 1
-            if self.events:
-                self.log.append(EventRecord(
-                    now, "drop", sender, receiver, uid, reason="loss",
-                ))
+            self.note("drop", sender, receiver, uid=uid, reason="loss")
             self._tick_dropped += 1
         else:
             self._drop_streak.pop(streak_key, None)
@@ -367,11 +374,7 @@ class Network:
         if self.rng.random() < cfg.dup_rate:
             # At most one duplicate per transmission; duplicates are
             # never dropped (they model late copies already in flight).
-            counts["dup"] += 1
-            if self.events:
-                self.log.append(EventRecord(
-                    now, "dup", sender, receiver, uid,
-                ))
+            self.note("dup", sender, receiver, uid=uid)
             self._schedule(uid, label, now, synchronous)
             copies += 1
         # A node sending from its own hook is asked again after it.
@@ -419,7 +422,9 @@ class Network:
         now = self.now
         self._ticked = now
         self._sends_this_tick = {}
-        self._tick_sent = self._tick_delivered = self._tick_dropped = 0
+        counts = self.counts
+        sent, delivered = counts["send"], counts["deliver"]
+        self._tick_dropped = 0
 
         for aid in sorted(self._faults.get(now, ())):
             if aid not in self.crashed:
@@ -433,28 +438,19 @@ class Network:
                 self._running = None
                 self._requery(aid)
 
-        counts, events, crashed = self.counts, self.events, self.crashed
+        note, crashed = self.note, self.crashed
         pending, latencies = self._pending_per_receiver, self._latencies
         for uid, label, send_tick in self._queue.pop(now, ()):
             sender, receiver, msg = label
             self._pending_total -= 1
             pending[receiver] -= 1
             if receiver in crashed:
-                counts["drop"] += 1
-                if events:
-                    self.log.append(EventRecord(
-                        now, "drop", sender, receiver, uid,
-                        reason="receiver-crashed",
-                    ))
+                note("drop", sender, receiver, uid=uid,
+                     reason="receiver-crashed")
                 self._tick_dropped += 1
                 continue
-            counts["deliver"] += 1
-            if events:
-                self.log.append(EventRecord(
-                    now, "deliver", sender, receiver, uid, msg.wire_size,
-                    _VERB_NAMES[msg.header.verb],
-                ))
-            self._tick_delivered += 1
+            note("deliver", sender, receiver, uid=uid, size=msg.wire_size,
+                 verb=msg.header.verb)
             delay = now - send_tick
             latencies[delay] = latencies.get(delay, 0) + 1
             self._running = receiver
@@ -462,12 +458,10 @@ class Network:
             self._running = None
             self._requery(receiver)
 
-        backlog = max(self._pending_per_receiver.values(), default=0)
-        self._max_in_flight = max(self._max_in_flight, self._pending_total)
-        self._max_queue_depth = max(self._max_queue_depth, backlog)
         self._gauges.append(TickGauge(
-            now, self._pending_total, backlog,
-            self._tick_sent, self._tick_delivered, self._tick_dropped,
+            now, self._pending_total, max(pending.values(), default=0),
+            counts["send"] - sent, counts["deliver"] - delivered,
+            self._tick_dropped,
         ))
         self.now = now + 1
 
@@ -488,7 +482,7 @@ class Network:
         return self._pending_total == 0
 
     def metrics(self, tick_ms: float = 1.0) -> MetricsReport:
-        counts = self.counts
+        counts, gauges = self.counts, self._gauges
         return MetricsReport(
             ticks=self.now,
             sends=counts["send"],
@@ -496,10 +490,10 @@ class Network:
             drops=counts["drop"],
             dups=counts["dup"],
             crashes=counts["crash"],
-            max_in_flight=self._max_in_flight,
-            max_queue_depth=self._max_queue_depth,
+            max_in_flight=max((g.in_flight for g in gauges), default=0),
+            max_queue_depth=max((g.max_backlog for g in gauges), default=0),
             latencies=self._latencies,
-            gauges=self._gauges,
+            gauges=gauges,
             tick_ms=tick_ms,
         )
 

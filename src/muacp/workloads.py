@@ -20,7 +20,6 @@ checks assert under one percent message loss.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -247,9 +246,7 @@ class ScaleNode(BasicNode):
             if not r.proposals:
                 # Every member refused (or nothing arrived in time):
                 # the round terminates cleanly with no award.
-                self.stats.complete("negotiation")
-                self.round = None
-                self.next_round_at = now + self.cfg.round_pause
+                self._complete_round(now)
                 return
             winner = min(r.proposals)
             r.awarded = winner
@@ -430,8 +427,3 @@ def run_scale(
         infeasible_events=infeasible,
     )
     return report, net
-
-
-def load_scale_config(path: str) -> ScaleConfig:
-    with open(path, "r", encoding="utf-8") as fp:
-        return ScaleConfig.from_json(json.load(fp))

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from muacp import compression as cz
-from muacp import wire
+from muacp import schema, wire
 from muacp.agent import Agent
 from muacp.cli import _bench_messages, main
 from muacp.compression import MessageDistribution, build_tables, check_bound
@@ -33,13 +33,13 @@ from muacp.consensus import (
 )
 from muacp.fipa import (
     check_trace_inclusion,
-    load_protocol,
+    ConversationAutomaton,
     mutated_translate,
     procedural_bound_check,
 )
 from muacp.resources import CostModel, ResourceBudget, ResourceVector
 from muacp.simnet import Network, SimConfig
-from muacp.workloads import load_scale_config, run_scale
+from muacp.workloads import ScaleConfig, run_scale
 
 ROOT = Path(__file__).resolve().parent.parent
 PROTOCOLS = sorted(glob.glob(str(ROOT / "protocols" / "*.json")))
@@ -253,7 +253,7 @@ def test_c04_no_budget_component_goes_negative():
         _assert_budget_nonnegative(p.agent.budget)
         _assert_journal_nonnegative(p.agent.journal)
 
-    cfg = load_scale_config(str(ROOT / "configs" / "scale_n100.json"))
+    cfg = schema.load(str(ROOT / "configs" / "scale_n100.json"), ScaleConfig)
     _, scale_net = run_scale(cfg)
     for node in scale_net.nodes.values():
         _assert_budget_nonnegative(node.agent.budget)
@@ -271,15 +271,17 @@ def test_c05_fipa_traces_covered_and_mutation_caught():
     }
     checked = 0
     for path in PROTOCOLS:
-        auto = load_protocol(path)
+        auto = schema.load(path, ConversationAutomaton)
         rep = check_trace_inclusion(auto, max_len=8)
         assert rep.traces_checked > 0, path
         assert rep.covered == rep.traces_checked, (path, rep.uncovered)
         checked += rep.traces_checked
-    assert load_protocol(str(ROOT / "protocols" / "contract_net.json")).nesting_depth == 2
+    contract_net = str(ROOT / "protocols" / "contract_net.json")
+    assert schema.load(contract_net, ConversationAutomaton).nesting_depth == 2
 
     bad = check_trace_inclusion(
-        load_protocol(str(ROOT / "protocols" / "request_response.json")),
+        schema.load(str(ROOT / "protocols" / "request_response.json"),
+                    ConversationAutomaton),
         max_len=8,
         translate_fn=mutated_translate,
     )
@@ -294,7 +296,7 @@ def test_c05_fipa_traces_covered_and_mutation_caught():
 def test_c06_runs_bounded_by_state_count():
     _start()
     for path in PROTOCOLS:
-        rep = procedural_bound_check(load_protocol(path))
+        rep = procedural_bound_check(schema.load(path, ConversationAutomaton))
         assert rep.runs_executed > 0, path
         assert rep.ok, (path, rep.max_semantic_messages, rep.state_count)
     _verdict(6, "procedural bound", f"{len(PROTOCOLS)} automata")
@@ -454,7 +456,7 @@ def test_c10_semantic_compression_bound():
     _start()
     assert len(DIST_FIXTURES) >= 5
     for path in DIST_FIXTURES:
-        _check_one_distribution(cz.load_distribution(path), path)
+        _check_one_distribution(schema.load(path, MessageDistribution), path)
     for seed in range(2000, 2005):
         _check_one_distribution(_random_distribution(seed), f"random-{seed}")
 
@@ -472,7 +474,8 @@ def test_c11_scaling_shape():
     _start()
     depth = {}
     for n in (100, 200, 400):
-        cfg = load_scale_config(str(ROOT / "configs" / f"scale_n{n}.json"))
+        cfg = schema.load(
+            str(ROOT / "configs" / f"scale_n{n}.json"), ScaleConfig)
         assert cfg.sim.drop_rate == 0.01
         report, _ = run_scale(cfg)
         s = report.metrics.summary()

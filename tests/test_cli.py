@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from muacp import schema
 from muacp.cli import main
 from muacp.consensus import MAX_SEEDS
-from muacp.workloads import load_scale_config, run_scale
+from muacp.workloads import ScaleConfig, run_scale
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -168,7 +169,7 @@ def test_sim_scale_events_log_is_the_runs_log(tmp_path):
                  "--events"]) == 0
     data = (out / "events.jsonl").read_bytes()
     assert data
-    cfg = load_scale_config(str(p))
+    cfg = schema.load(str(p), ScaleConfig)
     report, net = run_scale(cfg, events=True)
     assert data == net.log.to_jsonl().encode("utf-8")
     kinds = Counter(json.loads(line)["kind"] for line in data.splitlines())
@@ -634,8 +635,10 @@ def _layers_loaded(code: str) -> set[str]:
 
 def test_a_scale_run_never_loads_fipa():
     loaded = _layers_loaded(
-        "from muacp.workloads import build_scale, load_scale_config\n"
-        "net, _ = build_scale(load_scale_config('configs/scale_n100.json'))\n"
+        "from muacp import schema\n"
+        "from muacp.workloads import ScaleConfig, build_scale\n"
+        "net, _ = build_scale(\n"
+        "    schema.load('configs/scale_n100.json', ScaleConfig))\n"
         "net.run(50)")
     assert {"workloads", "simnet"} <= loaded
     assert "fipa" not in loaded

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muacp import compression as cz
-from muacp import wire
+from muacp import schema, wire
 from muacp.compression import (
     FIXED_FRAMING_BITS,
     HUFFMAN_SLACK_BITS,
@@ -151,7 +151,7 @@ def test_json_roundtrip(tmp_path):
     ])
     p = tmp_path / "d.json"
     p.write_text(json.dumps(d.to_json()))
-    assert cz.load_distribution(str(p)).entries == d.entries
+    assert schema.load(str(p), MessageDistribution).entries == d.entries
 
 
 # -- huffman ------------------------------------------------------------------
@@ -249,7 +249,7 @@ def test_bound_across_fixture_files():
     paths = sorted(glob.glob("configs/distributions/*.json"))
     assert len(paths) >= 5
     for path in paths:
-        rep = check_bound(cz.load_distribution(path))
+        rep = check_bound(schema.load(path, MessageDistribution))
         assert rep.ok, path
         assert rep.expected_code_bits <= rep.entropy_bits + 3 + 1e-6
 

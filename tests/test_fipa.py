@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from muacp import wire
+from muacp import schema, wire
 from muacp.fipa import (
     PROC_CODES,
     ConversationAutomaton,
@@ -17,7 +17,6 @@ from muacp.fipa import (
     check_trace_inclusion,
     content_of,
     enumerate_traces,
-    load_protocol,
     mutated_translate,
     procedural_bound_check,
     project,
@@ -236,7 +235,7 @@ def test_trace_cap_counts_actions():
 
 
 def test_accepting_runs_end_in_accepting_states():
-    auto = load_protocol("protocols/contract_net.json")
+    auto = schema.load("protocols/contract_net.json", ConversationAutomaton)
     runs = accepting_runs(auto, len(auto.states))
     accepting = set(auto.accepting)
     assert runs and all(r[-1].to in accepting for r in runs)
@@ -259,7 +258,7 @@ def test_json_roundtrip(tmp_path):
                  knowledge={"b": ("ready",)})
     path = tmp_path / "rt.json"
     path.write_text(json.dumps(auto.to_json()))
-    assert load_protocol(str(path)) == auto
+    assert schema.load(str(path), ConversationAutomaton) == auto
 
 
 # -- trace inclusion ------------------------------------------------------------
@@ -325,7 +324,7 @@ def test_mutated_translation_caught():
 def test_shipped_protocols_covered():
     for name in ("inform", "request_response", "query",
                  "subscribe_notify", "contract_net"):
-        auto = load_protocol(f"protocols/{name}.json")
+        auto = schema.load(f"protocols/{name}.json", ConversationAutomaton)
         rep = check_trace_inclusion(auto, max_len=8)
         assert rep.ok, f"{name}: {[(u.failed_at, u.reason) for u in rep.uncovered[:2]]}"
 
@@ -333,7 +332,7 @@ def test_shipped_protocols_covered():
 def test_conversation_cid_discipline_in_nested_protocol():
     # clarify and main run over distinct correlation ids by construction;
     # a trace mixing them must still be covered (fresh cid per conversation)
-    auto = load_protocol("protocols/contract_net.json")
+    auto = schema.load("protocols/contract_net.json", ConversationAutomaton)
     traces = enumerate_traces(auto, max_len=8)
     nested = [
         t for t in traces
@@ -349,7 +348,7 @@ def test_conversation_cid_discipline_in_nested_protocol():
 
 def test_bound_on_shipped_protocols():
     for name in ("inform", "query", "contract_net"):
-        auto = load_protocol(f"protocols/{name}.json")
+        auto = schema.load(f"protocols/{name}.json", ConversationAutomaton)
         rep = procedural_bound_check(auto)
         assert rep.ok
         assert rep.max_semantic_messages <= rep.state_count

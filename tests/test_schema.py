@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from muacp import schema
 from muacp.cli import main
 from muacp.compression import MessageDistribution
 from muacp.consensus import CampaignConfig, DecreeConfig
@@ -108,6 +109,23 @@ def test_reader_rejects_ill_typed_fields_by_path(doc, message):
     with pytest.raises(ConfigError) as exc:
         SimConfig.from_json(doc)
     assert str(exc.value).startswith(message)
+
+
+def test_load_reads_a_file_through_from_json_and_names_it(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"base": {"n": 3}, "seed_count": 2}))
+    assert schema.load(str(p), CampaignConfig).seeds == (0, 1)
+    p.write_text(json.dumps({"base": {"n": 3}, "seeds": ["0"]}))
+    with pytest.raises(ConfigError) as exc:
+        schema.load(str(p), CampaignConfig)
+    assert str(exc.value) == f"{p}: seeds[0]: expected int, got str"
+    for data in (b"{", b"\xff"):  # not JSON; not UTF-8
+        p.write_bytes(data)
+        with pytest.raises(ConfigError) as exc:
+            schema.load(str(p), CampaignConfig)
+        assert str(exc.value).startswith(f"cannot read {p}: ")
+    with pytest.raises(ConfigError, match="^cannot read .*missing.json: "):
+        schema.load(str(tmp_path / "missing.json"), CampaignConfig)
 
 
 def test_fraction_fields_read_exactly():

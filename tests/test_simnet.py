@@ -11,21 +11,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from muacp import workloads
+from muacp import schema, workloads
 from muacp.agent import Agent, TransitionLabel
 from muacp.resources import CostModel, ResourceBudget, ResourceVector
-from muacp.simnet import BasicNode, Network, SimConfig, _rank, nearest_rank
+from muacp.simnet import (
+    KINDS, BasicNode, Network, SimConfig, _rank, nearest_rank,
+)
 from muacp.fipa import PROC_CODES, Performative
 from muacp.wire import Option, OptionType, Verb, encode, opt_cid
-from muacp.workloads import ScaleNode, load_scale_config, run_scale
+from muacp.workloads import ScaleConfig, ScaleNode, run_scale
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def make_net(**overrides) -> Network:
+def make_net(*, events: bool = True, **overrides) -> Network:
     cfg = SimConfig(**{"seed": 7, **overrides})
     nodes = [BasicNode(Agent(i)) for i in range(overrides.pop("n", 0) or 3)]
-    return Network(cfg, nodes)
+    return Network(cfg, nodes, events=events)
 
 
 def lossless(**overrides) -> Network:
@@ -318,20 +320,106 @@ def test_gauges_csv_has_unit_headers():
     assert len(lines) == 4
 
 
-def test_network_counts_kinds_as_records_are_appended():
+def _lossy_run(events: bool) -> Network:
+    """Sends from outside the loop under loss, duplication and a crash."""
     net = make_net(seed=4, gst=30, drop_rate=0.3, dup_rate=0.3,
-                   fault_schedule=((2, 20),))
+                   fault_schedule=((2, 20),), events=events)
     node = net.nodes[0]
     for t in range(40):
         node.emit(net, 1 + t % 2, node.agent.make_tell(f"x({t})", qos=1),
                   net.now)
         net.step()
-    kinds = Counter(r.kind for r in net.log.records)
-    assert net.counts == dict(kinds)
-    assert set(kinds) >= {"send", "deliver", "drop", "dup", "crash", "timer"}
+    return net
+
+
+class _Sender(BasicNode):
+    """Every fourth tick, from its own on_tick: a tell to one of nodes
+    1-3, an ask of node 3 and a ping of node 1, so the three sends of a
+    tick meet a rate cap of two."""
+
+    def next_wake(self, now: int) -> int:
+        return now + 1
+
+    def on_tick(self, net: Network, now: int) -> None:
+        super().on_tick(net, now)
+        if now % 4 == 0:
+            a = self.agent
+            self.emit(net, 1 + now // 4 % 3,
+                      a.make_tell(f"x({now})", qos=1), now)
+            self.emit(net, 3, a.make_ask("p", qos=1, deadline=now + 9), now)
+            self.emit(net, 1, a.make_ping(), now)
+
+
+def _budgeted_run(events: bool) -> Network:
+    """Sends from inside the loop under a rate cap, a sender budget that
+    runs out, a receiver too poor to receive, loss, duplication and a
+    crash: every event kind, drop reason and timer reason."""
+    sender = ResourceBudget.full(ResourceVector.of(10**6, 1200, 10**6, 10**6))
+    tiny = ResourceBudget.full(ResourceVector.of(10**6, 12, 10**6, 10**6))
+    nodes = [_Sender(Agent(0, budget=sender, retransmit_interval=3)),
+             BasicNode(Agent(1)), BasicNode(Agent(2)),
+             BasicNode(Agent(3, budget=tiny))]
+    cfg = SimConfig(seed=5, gst=30, drop_rate=0.3, dup_rate=0.3, rate_cap=2,
+                    fault_schedule=((2, 20),))
+    net = Network(cfg, nodes, events=events)
+    net.run(60)
+    return net
+
+
+def _run_digest(net: Network) -> str:
     m = net.metrics()
-    assert (m.sends, m.delivers, m.drops, m.dups, m.crashes) == tuple(
-        kinds[k] for k in ("send", "deliver", "drop", "dup", "crash"))
+    out = (net.log.to_jsonl() + m.gauges_csv()
+           + json.dumps(m.summary(), sort_keys=True))
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+#: SHA-256 of each run's event log JSONL, gauges CSV and summary JSON.
+LOSSY_RUN_SHA256 = (
+    "930828690c34960e9ac8c01b49ff48ef0f885b1d4f3fa30fe50ff30657f0199c"
+)
+BUDGETED_RUN_SHA256 = (
+    "11ef7c9d14e41761c904258fdde9abbdb5ac6462553ca1ef56966b1f431582e0"
+)
+_WIRE_DROPS = {"loss", "receiver-crashed"}
+_REFUSALS = {"rate-cap", "infeasible-send", "infeasible-receive"}
+
+
+def test_network_counts_kinds_as_records_are_appended():
+    for run, reasons, digest in (
+        (_lossy_run, _WIRE_DROPS | {"retransmit"}, LOSSY_RUN_SHA256),
+        (_budgeted_run,
+         _WIRE_DROPS | _REFUSALS | {"retransmit", "ask-timeout"},
+         BUDGETED_RUN_SHA256),
+    ):
+        net = run(events=True)
+        kinds = Counter(r.kind for r in net.log.records)
+        assert net.counts == dict(kinds)
+        assert set(kinds) == set(KINDS)
+        assert {r.reason for r in net.log.records} - {None} == reasons
+        m = net.metrics()
+        assert (m.sends, m.delivers, m.drops, m.dups, m.crashes) == tuple(
+            kinds[k] for k in ("send", "deliver", "drop", "dup", "crash"))
+        assert _run_digest(net) == digest, run.__name__
+        # Without records the counts, gauges and summary are the same.
+        bare = run(events=False)
+        assert len(bare.log) == 0
+        assert bare.counts == net.counts
+        assert bare.metrics().gauges == m.gauges
+        assert bare.metrics().summary() == m.summary()
+
+
+def test_gauges_count_every_event_of_the_loop_and_only_wire_drops():
+    net = _budgeted_run(events=True)
+    m = net.metrics()
+    drops = Counter(r.reason for r in net.log.records if r.kind == "drop")
+    # Every send here is made in the loop, so every one is in a gauge.
+    assert sum(g.sent for g in m.gauges) == m.sends
+    assert sum(g.delivered for g in m.gauges) == m.delivers
+    assert sum(g.dropped for g in m.gauges) == sum(
+        drops[r] for r in _WIRE_DROPS)
+    assert sum(g.dropped for g in m.gauges) < m.drops
+    assert m.max_in_flight == max(g.in_flight for g in m.gauges)
+    assert m.max_queue_depth == max(g.max_backlog for g in m.gauges)
 
 
 def test_send_record_holds_the_message_and_serializes_its_bytes():
@@ -382,14 +470,14 @@ SCALE_N100_SHA256 = (
 
 
 def test_scale_n100_outputs_are_pinned():
-    cfg = load_scale_config(str(ROOT / "configs" / "scale_n100.json"))
+    cfg = schema.load(str(ROOT / "configs" / "scale_n100.json"), ScaleConfig)
     outputs = "".join(_scale_outputs(cfg)).encode()
     assert hashlib.sha256(outputs).hexdigest() == SCALE_N100_SHA256
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_woken_nodes_match_nodes_polled_every_tick(monkeypatch, seed):
-    cfg = load_scale_config(str(ROOT / "configs" / "scale_n100.json"))
+    cfg = schema.load(str(ROOT / "configs" / "scale_n100.json"), ScaleConfig)
     cfg = replace(cfg, seed=seed, sim=replace(cfg.sim, seed=seed))
     woken = _scale_outputs(cfg)
     monkeypatch.setattr(workloads, "ScaleNode", PolledScaleNode)
@@ -427,14 +515,14 @@ def test_most_woken_nodes_transmit(monkeypatch):
 
     monkeypatch.setattr(Network, "transmit", counting_transmit)
     monkeypatch.setattr(ScaleNode, "on_tick", counting_on_tick)
-    cfg = load_scale_config(str(ROOT / "configs" / "scale_n100.json"))
+    cfg = schema.load(str(ROOT / "configs" / "scale_n100.json"), ScaleConfig)
     run_scale(cfg)
     assert 0 < ticks < cfg.n * cfg.until
     assert useful / ticks >= 0.5
 
 
 def test_a_scale_run_keeps_no_resolved_ask():
-    cfg = load_scale_config(str(ROOT / "configs" / "scale_n100.json"))
+    cfg = schema.load(str(ROOT / "configs" / "scale_n100.json"), ScaleConfig)
     report, net = run_scale(cfg)
     assert report.workload["clean"]
     for node in net.nodes.values():
