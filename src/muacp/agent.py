@@ -181,8 +181,10 @@ class Agent:
         self.pending_asks: dict[int, PendingAsk] = {}
         self.retransmits: dict[int, Retransmit] = {}
         self.subscriptions: dict[str, set[int]] = {}
-        self.timeouts: list[tuple[int, int, str]] = []  # (cid, peer, query)
-        # Inbox of resolved asks: the embedding that reads it clears it.
+        # Inboxes the embedding empties once read: expired asks as
+        # (cid, peer, query), which `BasicNode.on_tick` empties, and
+        # resolved asks.
+        self.timeouts: list[tuple[int, int, str]] = []
         self.answers: list[tuple[int, Message]] = []
         self.infeasible_count = 0
 
@@ -507,7 +509,8 @@ class Agent:
         """Expire overdue queries and collect due retransmissions.
 
         Returns (destination, message) pairs to resend; expired queries
-        are recorded in self.timeouts rather than producing traffic.
+        are appended to the self.timeouts inbox rather than producing
+        traffic.
         """
         if not self.pending_asks and not self.retransmits:
             return []

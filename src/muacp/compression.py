@@ -43,7 +43,9 @@ from .wire import (
     HEADER_SIZE,
     K_MAX,
     OPTION_CODE_MAX,
+    OPTION_COUNT_LIMIT,
     OPTION_VALUE_LIMIT,
+    OPTIONS_LIMIT,
     PAYLOAD_LIMIT,
     Message,
     Verb,
@@ -79,9 +81,15 @@ class DistEntry:
         return (self.verb, self.profile, self.payload)
 
     @property
+    def options_bytes(self) -> int:
+        """Size of the encoded options section: 3 bytes of code and
+        length per option, plus its value."""
+        return sum(3 + ln for _, ln in self.profile)
+
+    @property
     def wire_bits(self) -> int:
-        option_bytes = sum(3 + ln for _, ln in self.profile)
-        return (HEADER_SIZE + 1 + option_bytes + 2 + len(self.payload)) * 8
+        return (HEADER_SIZE + 1 + self.options_bytes + 2
+                + len(self.payload)) * 8
 
 
 @dataclass(frozen=True)
@@ -117,6 +125,14 @@ class MessageDistribution(Config):
                     raise CompressionError(
                         f"option length {length} not in "
                         f"0..{OPTION_VALUE_LIMIT}")
+            if len(e.profile) > OPTION_COUNT_LIMIT:
+                raise CompressionError(
+                    f"{len(e.profile)} options exceed count limit "
+                    f"{OPTION_COUNT_LIMIT}")
+            if e.options_bytes > OPTIONS_LIMIT:
+                raise CompressionError(
+                    f"options section is {e.options_bytes} bytes, "
+                    f"limit {OPTIONS_LIMIT}")
             if len(e.payload) > PAYLOAD_LIMIT:
                 raise CompressionError(
                     f"payload of {len(e.payload)} bytes exceeds "

@@ -412,45 +412,37 @@ def _decide(
 
 
 class Participant(BasicNode):
-    """One consensus node: always an acceptor, optionally a proposer.
+    """One node of a decree: always an acceptor, a proposer when the
+    decree names it.
 
     An adapter onto the network: it classifies inbound messages, feeds
     them to the rules above, builds and emits what they send, counts
     every logical message, and runs the failure detector that decides
-    who leads."""
+    who leads.  Everything it is configured with comes from `decree`:
+    its peers (every node below `decree.n`), the proposers, the instance,
+    the retry timeout and the detector settings.  It proposes its entry
+    of `decree.values` when it has one, else `v<id>`."""
 
-    def __init__(
-        self,
-        agent: Agent,
-        peers: list[int],
-        proposer_ids: list[int],
-        *,
-        value: bytes | None = None,
-        instance: int = 1,
-        retry_timeout: int = 30,
-        retry_backoff: int = 3,
-        ping_interval: int = 5,
-        fd_timeout: int = 25,
-        fd_timeout_cap: int = 200,
-    ):
+    def __init__(self, agent: Agent, decree: DecreeConfig):
         super().__init__(agent)
+        self.proposer_ids = decree.proposer_ids()
+        value = dict(zip(self.proposer_ids, decree.values or ())).get(
+            self.id, f"v{self.id}")
         self.config = NodeConfig(
             id=self.id,
-            peers=tuple(sorted(peers)),
-            value=value if value is not None else f"v{self.id}".encode(),
-            retry_timeout=retry_timeout,
-            retry_backoff=retry_backoff,
+            peers=tuple(range(decree.n)),
+            value=value.encode(),
+            retry_timeout=decree.retry_timeout,
         )
         self.state = NodeState()
-        self.proposer_ids = sorted(proposer_ids)
         self.is_proposer = self.id in self.proposer_ids
-        self.instance = instance
+        self.instance = decree.instance
         self.counts: Counter = Counter()
         self.fd = FailureDetector(
             [p for p in self.config.peers if p != self.id],
-            ping_interval=ping_interval,
-            timeout=fd_timeout,
-            timeout_cap=fd_timeout_cap,
+            ping_interval=decree.ping_interval,
+            timeout=decree.fd_timeout,
+            timeout_cap=decree.fd_timeout_cap,
         )
 
     # -- node hooks ---------------------------------------------------
@@ -563,6 +555,10 @@ class DecreeConfig(schema.Config):
             raise ValueError("n must be at least 1")
         if not all(0 <= p < self.n for p in self.proposers or ()):
             raise ValueError(f"proposers must be node ids below n={self.n}")
+        if self.proposers is not None and (
+            len(set(self.proposers)) != len(self.proposers)
+        ):
+            raise ValueError("proposers must not repeat a node id")
         if self.values is not None and (
             len(self.values) != len(self.proposer_ids())
         ):
@@ -610,27 +606,7 @@ def run_decree(
     """Execute one seeded decree to completion or the tick budget.  Its
     network records events in `log` only with `events` (see
     `simnet.Network`); the outcome is the same either way."""
-    proposer_ids = config.proposer_ids()
-    values: dict[int, bytes] = {}
-    if config.values is not None:
-        values = {
-            pid: v.encode() for pid, v in zip(proposer_ids, config.values)
-        }
-    participants = []
-    for i in range(config.n):
-        participants.append(
-            Participant(
-                Agent(i),
-                peers=list(range(config.n)),
-                proposer_ids=proposer_ids,
-                value=values.get(i),
-                instance=config.instance,
-                retry_timeout=config.retry_timeout,
-                ping_interval=config.ping_interval,
-                fd_timeout=config.fd_timeout,
-                fd_timeout_cap=config.fd_timeout_cap,
-            )
-        )
+    participants = [Participant(Agent(i), config) for i in range(config.n)]
     net = Network(config.sim, participants, events=events)
     while net.now < config.until:
         net.step()
@@ -650,7 +626,9 @@ def run_decree(
         decided_tick={p.id: p.state.decided_tick for p in done},
         crashed=set(net.crashed),
         counts=counts,
-        proposed={participants[pid].config.value for pid in proposer_ids},
+        proposed={
+            participants[pid].config.value for pid in config.proposer_ids()
+        },
         suspicions={p.id: list(p.fd.history) for p in participants},
         ticks=net.now,
         log=net.log,

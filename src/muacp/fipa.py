@@ -473,9 +473,11 @@ class _TraceRun:
             for lit in auto.knowledge.get(role, ()):
                 agent.kb_insert_text(lit)
             self.nodes[role] = _RecordingNode(agent, self.observed)
+        # Nothing reads the network's log: the nodes record what they see.
         self.net = Network(
             SimConfig(seed=0, gst=0, delta=1),
             list(self.nodes.values()),
+            events=False,
         )
         self.conv_cid: dict[str, int] = {}
         self.cid_conv: dict[int, str] = {}

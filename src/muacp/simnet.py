@@ -332,10 +332,10 @@ class Network:
                 None if verb is None else _VERB_NAMES[verb], reason, message,
             ))
 
-    def transmit(self, label: TransitionLabel, now: int) -> int:
-        """Schedule one transmission (plus a possible duplicate) and
-        note the send.  `now` is the current tick, `self.now`, at which
-        the send is recorded.  Returns the copy count actually scheduled."""
+    def transmit(self, label: TransitionLabel) -> int:
+        """Schedule one transmission (plus a possible duplicate) at the
+        current tick and note the send.  Returns the copy count actually
+        scheduled."""
         sender, receiver, msg = label
         if sender in self.crashed:
             raise RuntimeError(f"crashed agent {sender} cannot send")
@@ -348,7 +348,7 @@ class Network:
             verb=msg.header.verb, message=msg,
         )
 
-        synchronous = now >= cfg.gst
+        synchronous = self.now >= cfg.gst
         streak_key = (sender, receiver, msg.header.message_id)
         copies = 0
         if synchronous:
@@ -368,14 +368,14 @@ class Network:
             self._tick_dropped += 1
         else:
             self._drop_streak.pop(streak_key, None)
-            self._schedule(uid, label, now, synchronous)
+            self._schedule(uid, label, synchronous)
             copies += 1
 
         if self.rng.random() < cfg.dup_rate:
             # At most one duplicate per transmission; duplicates are
             # never dropped (they model late copies already in flight).
             self.note("dup", sender, receiver, uid=uid)
-            self._schedule(uid, label, now, synchronous)
+            self._schedule(uid, label, synchronous)
             copies += 1
         # A node sending from its own hook is asked again after it.
         if sender != self._running and sender in self.nodes:
@@ -383,9 +383,9 @@ class Network:
         return copies
 
     def _schedule(
-        self, uid: int, label: TransitionLabel, now: int, synchronous: bool
+        self, uid: int, label: TransitionLabel, synchronous: bool
     ) -> None:
-        cfg = self.config
+        cfg, now = self.config, self.now
         if synchronous:
             delay = self.rng.randint(1, cfg.delta)
         else:
@@ -505,7 +505,6 @@ class BasicNode:
     def __init__(self, agent: Agent):
         self.agent = agent
         self.id = agent.id
-        self._timeouts_seen = 0
 
     def next_wake(self, now: int) -> int | None:
         """The earliest tick above `now` at which on_tick could do
@@ -513,22 +512,27 @@ class BasicNode:
         at = self.agent.next_timer()
         return None if at is None else max(at, now + 1)
 
-    def on_tick(self, net: Network, now: int) -> None:
+    def on_tick(self, net: Network, now: int) -> int:
+        """Run the agent's timers: note each ask that expired and empty
+        the agent's timeouts inbox, then note and resend each due
+        retransmission.  Returns how many asks expired."""
         resends = self.agent.fire_timers(now)
         timeouts = self.agent.timeouts
-        if len(timeouts) > self._timeouts_seen:
-            for cid, peer, _query in timeouts[self._timeouts_seen:]:
+        expired = len(timeouts)
+        if expired:
+            for _cid, peer, _query in timeouts:
                 net.note(
                     kind="timer", sender=self.id, receiver=peer,
                     reason="ask-timeout",
                 )
-            self._timeouts_seen = len(timeouts)
+            timeouts.clear()
         for to, msg in resends:
             net.note(
                 kind="timer", sender=self.id, receiver=to,
                 reason="retransmit",
             )
             self.emit(net, to, msg, now, fresh=False)
+        return expired
 
     def on_deliver(self, net: Network, label: TransitionLabel, now: int) -> bool:
         """Let the agent receive the message and emit its replies.
@@ -572,5 +576,5 @@ class BasicNode:
                 verb=msg.verb, reason="infeasible-send",
             )
             return False
-        net.transmit(label, now)
+        net.transmit(label)
         return True

@@ -92,15 +92,6 @@ class WorkloadStats:
         self.completed: Counter = Counter()
         self.failed: Counter = Counter()
 
-    def start(self, kind: str) -> None:
-        self.started[kind] += 1
-
-    def complete(self, kind: str) -> None:
-        self.completed[kind] += 1
-
-    def fail(self, kind: str) -> None:
-        self.failed[kind] += 1
-
     def clean(self) -> bool:
         return (
             sum(self.failed.values()) == 0
@@ -149,9 +140,6 @@ class ScaleNode(BasicNode):
         self.stop_at = cfg.until - cfg.drain
         self.offset = (agent.id * 17) % cfg.rr_period
 
-        self.rr_outstanding: set[int] = set()  # cids of open asks
-        self._timeouts_handled = 0
-
         self.round: _Round | None = None
         self.round_counter = 0
         self.next_round_at = 5 + (agent.id % 7)
@@ -159,25 +147,6 @@ class ScaleNode(BasicNode):
         self.done_sent: set[tuple[int, int]] = set()
 
     # -- request/response ----------------------------------------------
-
-    def _harvest_answers(self) -> None:
-        """Complete the asks the agent has just resolved and empty its
-        answers inbox, so an answer is held only until its delivery ends."""
-        answers = self.agent.answers
-        for cid, _msg in answers:
-            if cid in self.rr_outstanding:
-                self.rr_outstanding.remove(cid)
-                self.stats.complete("request")
-        answers.clear()
-
-    def _harvest_timeouts(self) -> None:
-        timeouts = self.agent.timeouts
-        while self._timeouts_handled < len(timeouts):
-            cid, _peer, _query = timeouts[self._timeouts_handled]
-            self._timeouts_handled += 1
-            if cid in self.rr_outstanding:
-                self.rr_outstanding.remove(cid)
-                self.stats.fail("request")
 
     def _maybe_ask(self, net: Network, now: int) -> None:
         if now >= self.stop_at or now < self.offset:
@@ -194,8 +163,7 @@ class ScaleNode(BasicNode):
             deadline=self.cfg.rr_deadline,
         )
         if self.emit(net, peer, msg, now):
-            self.rr_outstanding.add(msg.header.correlation_id)
-            self.stats.start("request")
+            self.stats.started["request"] += 1
 
     # -- contract rounds --------------------------------------------------
 
@@ -216,7 +184,7 @@ class ScaleNode(BasicNode):
             committee=committee,
             deadline=now + self.cfg.proposal_wait,
         )
-        self.stats.start("negotiation")
+        self.stats.started["negotiation"] += 1
         # Each copy gets its own header correlation id so its QoS-1
         # retransmission is tracked independently; the CID option holds
         # the round id that groups the conversation.
@@ -264,7 +232,7 @@ class ScaleNode(BasicNode):
                 self.emit(net, member, msg, now)
 
     def _complete_round(self, now: int) -> None:
-        self.stats.complete("negotiation")
+        self.stats.completed["negotiation"] += 1
         self.round = None
         self.next_round_at = now + self.cfg.round_pause
 
@@ -297,9 +265,14 @@ class ScaleNode(BasicNode):
             return soon
         return max(soon, r.deadline)
 
+    # Every ask the agent has pending is a request this node started: a
+    # CFP carries no content type, so it registers no pending ask.  So
+    # each expiry fails a request and each answer completes one.
+
     def on_tick(self, net: Network, now: int) -> None:
-        super().on_tick(net, now)
-        self._harvest_timeouts()
+        expired = super().on_tick(net, now)
+        if expired:
+            self.stats.failed["request"] += expired
         self._maybe_ask(net, now)
         if self.initiator:
             self._advance_round(net, now)
@@ -307,8 +280,10 @@ class ScaleNode(BasicNode):
     def on_deliver(self, net: Network, label, now: int) -> None:
         if not super().on_deliver(net, label, now):
             return
-        if self.agent.answers:
-            self._harvest_answers()
+        answers = self.agent.answers
+        if answers:
+            self.stats.completed["request"] += len(answers)
+            answers.clear()
         sender, _, msg = label
         proc = msg.find(_PROC)
         if proc is not None:

@@ -239,10 +239,8 @@ def test_c04_no_budget_component_goes_negative():
     # elsewhere in this gate enforce the same invariant by construction:
     # resource vectors reject negative components at creation.)
     n = 5
-    parts = [
-        Participant(Agent(i, journal=True), list(range(n)), [0])
-        for i in range(n)
-    ]
+    decree = DecreeConfig(n=n, proposers=(0,))
+    parts = [Participant(Agent(i, journal=True), decree) for i in range(n)]
     net = Network(
         SimConfig(seed=11, gst=GST, delta=DELTA, drop_rate=0.03,
                   dup_rate=0.02, fault_schedule=((3, 20),)),
@@ -383,7 +381,8 @@ def test_c09_detector_completeness_and_accuracy():
             (v, rng.randint(*CRASH_WINDOW)) for v in rng.sample(range(1, n), 2)
         ))
         crash_at = dict(sched)
-        parts = [Participant(Agent(i), list(range(n)), [0]) for i in range(n)]
+        decree = DecreeConfig(n=n, proposers=(0,))
+        parts = [Participant(Agent(i), decree) for i in range(n)]
         net = Network(
             SimConfig(seed=seed, gst=GST, delta=DELTA, delay_min=1,
                       delay_max=delay_max, drop_rate=LOSS_GRID[seed % 5],

@@ -279,6 +279,11 @@ CONSENSUS_REPROS = {
                               "base: proposers must be node ids below n=5"),
     "values_not_one_per_proposer": (_set("base", "values", ["a"]),
                                     "base: values must match proposers"),
+    "repeated_proposer": (
+        lambda cfg: _set("base", "values", ["a", "b"])(
+            _set("base", "proposers", [0, 0])(cfg)),
+        "base: proposers must not repeat a node id",
+    ),
     "sim_not_an_object": (_set("base", "sim", 5),
                           "base.sim: expected an object, got int"),
     "unknown_field": (_set("base", "sim", "sprocket", 1),
@@ -487,6 +492,12 @@ def _dist(prob: str = "1.0", options: str = "[]",
     pytest.param("check-bound", _dist(payload='"%s"' % ("00" * 65536)),
                  "payload of 65536 bytes exceeds 65535",
                  id="dist-payload-too-long"),
+    pytest.param("check-bound", _dist(options=json.dumps([[5, 0]] * 256)),
+                 "256 options exceed count limit 255",
+                 id="dist-too-many-options"),
+    pytest.param("check-bound", _dist(options="[[5, 1000], [5, 1000]]"),
+                 "options section is 2006 bytes, limit 1024",
+                 id="dist-options-section-too-long"),
 ])
 def test_malformed_protocol_or_distribution_exits_2(
     tmp_path, capsys, command, text, expected

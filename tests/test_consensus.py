@@ -180,7 +180,7 @@ def test_shapes_pairwise_distinct():
 def test_classified_values_round_trip_through_the_wire():
     # What the rules send, built as Participant builds it and classified
     # back, is the same tuple: prepare, accept and decide carry CONV.
-    p = Participant(Agent(0), peers=[0, 1, 2], proposer_ids=[0], instance=7)
+    p = Participant(Agent(0), DecreeConfig(n=3, proposers=(0,), instance=7))
     sent = [
         Classified("prepare", ballot=B1, instance=7),
         Classified("promise", ballot=B2),
@@ -421,7 +421,8 @@ DECREE_LOG_SHA256 = (
 @pytest.mark.parametrize("node_class", [Participant, PolledParticipant])
 def test_decree_with_crashes_and_duplicates_is_unchanged(node_class):
     n = 5
-    parts = [node_class(Agent(i), list(range(n)), [0, 1]) for i in range(n)]
+    decree = DecreeConfig(n=n, proposers=(0, 1))
+    parts = [node_class(Agent(i), decree) for i in range(n)]
     net = Network(
         SimConfig(seed=11, gst=60, delta=5, drop_rate=0.05, dup_rate=0.05,
                   fault_schedule=((0, 15), (3, 30))),

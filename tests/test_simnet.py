@@ -134,7 +134,7 @@ def test_fair_loss_forces_delivery_eventually():
     msg = a.make_tell("fact")
     label = a.send(msg, to=1, now=0)
     for _ in range(21):
-        net.transmit(label, net.now)
+        net.transmit(label)
         net.step()
     net.run_until_quiescent(100)
     drops = net.log.of_kind("drop")
@@ -152,8 +152,8 @@ def test_drop_streaks_tracked_per_message():
     l1 = a.send(m1, to=1, now=0)
     l2 = a.send(m2, to=1, now=0)
     for _ in range(6):
-        net.transmit(l1, net.now)
-        net.transmit(l2, net.now)
+        net.transmit(l1)
+        net.transmit(l2)
         net.step()
     net.run_until_quiescent(100)
     assert len(net.log.of_kind("deliver")) == 2
@@ -196,7 +196,7 @@ def test_crashed_sender_rejected():
     label = TransitionLabel(0, 1, a.make_ping())
     net.step()
     with pytest.raises(RuntimeError):
-        net.transmit(label, net.now)
+        net.transmit(label)
 
 
 # -- rate cap -----------------------------------------------------------------
@@ -256,7 +256,7 @@ def test_ask_timeout_and_retransmits_recorded():
     reasons = [r.reason for r in net.log.of_kind("timer")]
     assert reasons.count("retransmit") == 2      # at ticks 3 and 6
     assert "ask-timeout" in reasons
-    assert node.agent.timeouts != []
+    assert node.agent.timeouts == []  # the node emptied the inbox
 
 
 def test_qos1_exchange_reaches_quiescence():
@@ -501,10 +501,10 @@ def test_most_woken_nodes_transmit(monkeypatch):
     sends = ticks = useful = 0
     transmit, on_tick = Network.transmit, ScaleNode.on_tick
 
-    def counting_transmit(self, label, now):
+    def counting_transmit(self, label):
         nonlocal sends
         sends += 1
-        return transmit(self, label, now)
+        return transmit(self, label)
 
     def counting_on_tick(self, net, now):
         nonlocal ticks, useful
@@ -527,7 +527,7 @@ def test_a_scale_run_keeps_no_resolved_ask():
     assert report.workload["clean"]
     for node in net.nodes.values():
         assert node.agent.answers == []
-        assert node.rr_outstanding == set()
+        assert node.agent.pending_asks == {}
 
 
 def test_an_answer_completes_its_ask_in_the_tick_it_is_delivered():
@@ -536,13 +536,31 @@ def test_an_answer_completes_its_ask_in_the_tick_it_is_delivered():
     while net.now < cfg.until:
         net.step()
         # An ask the agent no longer waits on is no longer outstanding.
-        outstanding = 0
-        for node in net.nodes.values():
-            assert node.rr_outstanding <= node.agent.pending_asks.keys()
-            outstanding += len(node.rr_outstanding)
+        outstanding = sum(
+            len(node.agent.pending_asks) for node in net.nodes.values())
         assert (stats.completed["request"] + stats.failed["request"]
                 + outstanding == stats.started["request"])
     assert stats.completed["request"] > 0
+
+
+def test_an_ask_to_a_crashed_peer_fails_and_leaves_no_timeout_behind():
+    # Node 5 crashes at tick 10, so every ask sent to it from then on
+    # expires after its deadline of 50 ticks.
+    sim = replace(ScaleConfig().sim, fault_schedule=((5, 10),))
+    cfg = ScaleConfig(n=20, until=300, drain=60, cnet_initiators=4,
+                      rr_deadline=50, sim=sim)
+    net, stats = workloads.build_scale(cfg)
+    while net.now < cfg.until:
+        net.step()
+        outstanding = sum(
+            len(node.agent.pending_asks) for node in net.nodes.values())
+        assert (stats.completed["request"] + stats.failed["request"]
+                + outstanding == stats.started["request"])
+        for aid, node in net.nodes.items():
+            if aid not in net.crashed:
+                assert node.agent.timeouts == []
+    assert stats.failed["request"] > 0
+    assert net.counts["crash"] == 1
 
 
 #: SHA-256 of the event log of the run below, as written when every node
