@@ -19,6 +19,8 @@ Processing rules for inbound messages:
   malformed input            -> reply PING with error flag + ERR detail
                                 (never in reply to a response, so two
                                  broken peers cannot loop)
+  non-UTF-8 payload or topic -> malformed input, the same error reply;
+                                so is an action too long to answer
 
 Any QoS-1 inbound message that did not already earn a response-flagged
 reply gets a bare acknowledgement (PING response, same correlation id).
@@ -392,7 +394,9 @@ class Agent:
 
         try:
             replies = self._apply(msg, sender, now)
-        except BadContent as e:
+        except (BadContent, UnicodeDecodeError, wire.WireError) as e:
+            # Peer text that is not UTF-8, and content whose answer the
+            # codec cannot carry, are bad content too.
             replies = [] if response else [
                 (sender, self._error_reply(h, str(e)))]
 
@@ -437,7 +441,7 @@ class Agent:
 
         if verb == _TELL:
             if msg.find(_CONTENT_TYPE) == CT_LITERAL:
-                self.kb_insert(self._payload_literal(msg))
+                self.kb_insert(parse_literal(msg.payload.decode()))
             return []
 
         if verb == _ASK:
@@ -447,7 +451,7 @@ class Agent:
                 # the embedding decides the reply.
                 return []
             if ct.value == _LITERAL_BYTES:
-                query = self._payload_literal(msg)
+                query = parse_literal(msg.payload.decode())
                 truth = self.kb_lookup(query.atom)
                 if truth is None:
                     reply = self.build(
@@ -462,31 +466,24 @@ class Agent:
                                        h.correlation_id, response=True)
                 return [(sender, reply)]
             if ct.value == _ACTION_BYTES:
-                action = msg.payload.decode("utf-8", "strict")
+                action = msg.payload.decode()
                 if not action:
                     raise BadContent("empty action")
                 done = parse_literal(f"done({action})")
+                reply = self._tell(done, h.correlation_id, response=True)
                 self.kb_insert(done)
-                return [(sender, self._tell(
-                    done, h.correlation_id, response=True))]
+                return [(sender, reply)]
             raise BadContent(f"unknown content type {ct.value.hex()}")
 
         if verb == _OBSERVE:
             topic_opt = msg.find(_TOPIC)
             if topic_opt is None:
                 raise BadContent("observe without a topic")
-            topic = topic_opt.value.decode("utf-8", "strict")
+            topic = topic_opt.value.decode()
             self.subscriptions.setdefault(topic, set()).add(sender)
             return []
 
         raise BadContent(f"verb {verb}")  # unreachable; enum is total
-
-    def _payload_literal(self, msg: Message) -> Literal:
-        try:
-            text = msg.payload.decode("utf-8", "strict")
-        except UnicodeDecodeError as e:
-            raise BadContent(f"payload is not utf-8: {e}") from e
-        return parse_literal(text)
 
     def _error_reply(self, h: wire.Header, detail: str) -> Message:
         return self.build(

@@ -25,8 +25,8 @@ code no longer needs.
 A distribution file is the JSON form of `MessageDistribution`, read by
 the typed reader in `schema.py`: {"entries": [{"verb": "TELL",
 "options": [[code, length], ...], "payload_hex": "...", "prob": p}]}.
-`MessageDistribution.__post_init__` is the one home of the checks of
-entries against the wire's limits and of the probabilities' sum.
+`MessageDistribution.__post_init__` checks the probabilities and judges
+each entry by the codec's own rules (`wire.profile_faults`).
 """
 
 from __future__ import annotations
@@ -39,18 +39,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from .schema import Config
-from .wire import (
-    HEADER_SIZE,
-    K_MAX,
-    OPTION_CODE_MAX,
-    OPTION_COUNT_LIMIT,
-    OPTION_VALUE_LIMIT,
-    OPTIONS_LIMIT,
-    PAYLOAD_LIMIT,
-    Message,
-    Verb,
-    decode,
-)
+from .wire import K_MAX, Message, Verb, decode, encoded_size, profile_faults
 
 #: Fixed per-message framing the theoretical encoder pays: the 64-bit
 #: header plus the option-count and payload-length fields (8 + 16 bits).
@@ -81,15 +70,8 @@ class DistEntry:
         return (self.verb, self.profile, self.payload)
 
     @property
-    def options_bytes(self) -> int:
-        """Size of the encoded options section: 3 bytes of code and
-        length per option, plus its value."""
-        return sum(3 + ln for _, ln in self.profile)
-
-    @property
     def wire_bits(self) -> int:
-        return (HEADER_SIZE + 1 + self.options_bytes + 2
-                + len(self.payload)) * 8
+        return encoded_size(self.profile, len(self.payload)) * 8
 
 
 @dataclass(frozen=True)
@@ -111,34 +93,19 @@ class MessageDistribution(Config):
                 f"support of {len(entries)} exceeds {self.MAX_SUPPORT}"
             )
         seen = set()
-        for e in entries:
+        for i, e in enumerate(entries):
             if not math.isfinite(e.prob):
-                raise CompressionError(f"probability {e.prob} is not finite")
+                raise CompressionError(
+                    f"entries[{i}]: probability {e.prob} is not finite")
             if e.prob <= 0:
-                raise CompressionError(f"nonpositive probability {e.prob}")
+                raise CompressionError(
+                    f"entries[{i}]: nonpositive probability {e.prob}")
             Verb(e.verb)
-            for code, length in e.profile:
-                if not 0 <= code <= OPTION_CODE_MAX:
-                    raise CompressionError(
-                        f"option code {code} not in 0..{OPTION_CODE_MAX}")
-                if not 0 <= length <= OPTION_VALUE_LIMIT:
-                    raise CompressionError(
-                        f"option length {length} not in "
-                        f"0..{OPTION_VALUE_LIMIT}")
-            if len(e.profile) > OPTION_COUNT_LIMIT:
-                raise CompressionError(
-                    f"{len(e.profile)} options exceed count limit "
-                    f"{OPTION_COUNT_LIMIT}")
-            if e.options_bytes > OPTIONS_LIMIT:
-                raise CompressionError(
-                    f"options section is {e.options_bytes} bytes, "
-                    f"limit {OPTIONS_LIMIT}")
-            if len(e.payload) > PAYLOAD_LIMIT:
-                raise CompressionError(
-                    f"payload of {len(e.payload)} bytes exceeds "
-                    f"{PAYLOAD_LIMIT}")
+            for fault in profile_faults(e.profile, len(e.payload)):
+                raise CompressionError(f"entries[{i}]: {fault}")
             if e.symbol in seen:
-                raise CompressionError(f"duplicate symbol {e.symbol}")
+                raise CompressionError(
+                    f"entries[{i}]: duplicate symbol {e.symbol}")
             seen.add(e.symbol)
         total = math.fsum(e.prob for e in entries)
         if abs(total - 1.0) > self.PROB_TOL:

@@ -553,6 +553,8 @@ class DecreeConfig(schema.Config):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.proposers is not None and not self.proposers:
+            raise ValueError("proposers must name at least one node")
         if not all(0 <= p < self.n for p in self.proposers or ()):
             raise ValueError(f"proposers must be node ids below n={self.n}")
         if self.proposers is not None and (

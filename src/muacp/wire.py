@@ -29,7 +29,8 @@ empty payload) is exactly 11 bytes on the wire.
 
 `Header`, `Option` and `Message` are immutable tuples, validated once
 by their constructors; each field range and limit is written once, below,
-for the constructors and `check_wellformed` alike.  `decode` checks what
+for the constructors, `check_wellformed` and `profile_faults`, which judges
+a message known only by its option lengths, alike.  `decode` checks what
 bytes can get wrong (truncation, version, the options-section limit,
 trailing bytes) and builds values unchecked, since the byte format bounds
 every other field.  NamedTuple's `_make` and `_replace` skip the checks.
@@ -184,13 +185,15 @@ def _header_faults(verb, qos, flags, message_id, sequence, correlation_id,
         yield FieldRange(f"verb {verb} not in 0..3", "verb")
 
 
-def _option_faults(code, value):
+def _option_faults(code, length):
     if not 0 <= code <= OPTION_CODE_MAX:
         yield FieldRange(
             f"option code {code} not in 0..{OPTION_CODE_MAX}", "option")
-    if len(value) > OPTION_VALUE_LIMIT:
+    if length < 0:
+        yield FieldRange(f"option length {length} is negative", "option")
+    elif length > OPTION_VALUE_LIMIT:
         yield OversizedOptions(
-            f"option value of {len(value)} bytes cannot fit the "
+            f"option value of {length} bytes cannot fit the "
             f"{OPTIONS_LIMIT}-byte options section",
             "option",
         )
@@ -214,6 +217,29 @@ def _body_faults(count, section, payload_len):
         )
 
 
+def _section_size(profile) -> int:
+    """Bytes of the options section: type and length, 3 bytes, and the
+    value of each option."""
+    return 3 * len(profile) + sum([length for _, length in profile])
+
+
+def profile_faults(profile, payload_len: int):
+    """Yield, in check order, every fault of a message body known only by
+    its option profile, the `(code, value length)` of each option, and
+    its payload length.  A length read from a file can be negative, and
+    is a fault then."""
+    for i, (code, length) in enumerate(profile):
+        for e in _option_faults(code, length):
+            yield type(e)(f"option {i}: {e}", e.clause)
+    yield from _body_faults(len(profile), _section_size(profile), payload_len)
+
+
+def encoded_size(profile, payload_len: int) -> int:
+    """Encoded bytes of a message with this option profile and payload
+    length: the `wire_size` a built `Message` carries."""
+    return HEADER_SIZE + 3 + _section_size(profile) + payload_len
+
+
 # -- values -------------------------------------------------------------------
 
 
@@ -228,7 +254,7 @@ class Option(NamedTuple("Option", [("code", int), ("value", bytes)])):
     def __new__(cls, code: int, value: bytes = b""):
         if not (0 <= code <= OPTION_CODE_MAX
                 and len(value) <= OPTION_VALUE_LIMIT):
-            for fault in _option_faults(code, value):
+            for fault in _option_faults(code, len(value)):
                 raise fault
         return _new(cls, (code, value))
 
@@ -454,15 +480,11 @@ def check_wellformed(
     single bad artifact can be diagnosed completely.  A message's own
     options are valid input.
     """
-    out = [Violation(e.clause, str(e)) for e in _header_faults(
-        verb, qos, flags, message_id, sequence, correlation_id, version)]
-    for i, (code, value) in enumerate(options):
-        out += (Violation(e.clause, f"option {i}: {e}")
-                for e in _option_faults(code, value))
-    section = 3 * len(options) + sum([len(value) for _, value in options])
-    out += (Violation(e.clause, str(e))
-            for e in _body_faults(len(options), section, len(payload)))
-    return out
+    profile = [(code, len(value)) for code, value in options]
+    return [Violation(e.clause, str(e)) for e in (
+        *_header_faults(verb, qos, flags, message_id, sequence,
+                        correlation_id, version),
+        *profile_faults(profile, len(payload)))]
 
 
 def validate(data: bytes) -> list[Violation]:

@@ -203,9 +203,8 @@ class ScaleNode(BasicNode):
     def _advance_round(self, net: Network, now: int) -> None:
         r = self.round
         if r is None:
-            if self.initiator and self.round_counter >= 0:
-                if now >= self.next_round_at and now < self.stop_at:
-                    self._start_round(net, now)
+            if self.initiator and self.next_round_at <= now < self.stop_at:
+                self._start_round(net, now)
             return
         if r.awarded is None:
             responded = len(r.proposals) + len(r.refusals)
@@ -310,15 +309,16 @@ class ScaleNode(BasicNode):
             key = (sender, conv)
             if key in self.proposed_convs:
                 return
-            self.proposed_convs.add(key)
             task = msg.payload.decode("utf-8", "replace")
-            refuse = (
-                self.id + int(task.rsplit("_", 1)[-1])
-            ) % self.cfg.refusal_modulus == 0
+            try:
+                round_no = int(task.rsplit("_", 1)[-1])
+            except ValueError:
+                return  # names no round; the agent has acknowledged it
+            self.proposed_convs.add(key)
+            refuse = (self.id + round_no) % self.cfg.refusal_modulus == 0
             reply_code = _PROC_REFUSE if refuse else _PROC_PROPOSE
-            payload = (
-                task if refuse else f"bid({self.id})"
-            ).encode()
+            # A refusal echoes the CFP's own bytes, which always fit.
+            payload = msg.payload if refuse else f"bid({self.id})".encode()
             reply = self.agent.build(
                 _TELL,
                 options=(
@@ -347,7 +347,10 @@ class ScaleNode(BasicNode):
                 return
             self.done_sent.add(key)
             task = msg.payload.decode("utf-8", "replace")
-            done = self.agent._tell(Literal(f"done({task})"), None, qos=1)
+            try:
+                done = self.agent._tell(Literal(f"done({task})"), None, qos=1)
+            except wire.WireError:
+                return  # a task too long to report on
             self.emit(net, sender, done, now)
             return
         # rejections need no action beyond the automatic acknowledgement

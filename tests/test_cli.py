@@ -275,6 +275,8 @@ CONSENSUS_REPROS = {
         _set("base", "sim", "fault_schedule", [[1]]),
         "base.sim.fault_schedule[0]: expected 2 items, got 1",
     ),
+    "empty_proposers": (_set("base", "proposers", []),
+                        "base: proposers must name at least one node"),
     "proposer_out_of_range": (_set("base", "proposers", [9]),
                               "base: proposers must be node ids below n=5"),
     "values_not_one_per_proposer": (_set("base", "values", ["a"]),
@@ -486,17 +488,19 @@ def _dist(prob: str = "1.0", options: str = "[]",
                  "entries[0].payload_hex: expected a hex string",
                  id="dist-payload-not-hex"),
     pytest.param("check-bound", _dist(options="[[3, -5]]"),
-                 "option length -5 not in 0..1021", id="dist-length-negative"),
+                 "entries[0]: option 0: option length -5 is negative",
+                 id="dist-length-negative"),
     pytest.param("check-bound", _dist(options="[[256, 1]]"),
-                 "option code 256 not in 0..255", id="dist-code-256"),
+                 "entries[0]: option 0: option code 256 not in 0..255",
+                 id="dist-code-256"),
     pytest.param("check-bound", _dist(payload='"%s"' % ("00" * 65536)),
-                 "payload of 65536 bytes exceeds 65535",
+                 "entries[0]: payload is 65536 bytes, limit 65535",
                  id="dist-payload-too-long"),
     pytest.param("check-bound", _dist(options=json.dumps([[5, 0]] * 256)),
-                 "256 options exceed count limit 255",
+                 "entries[0]: 256 options exceed count limit 255",
                  id="dist-too-many-options"),
     pytest.param("check-bound", _dist(options="[[5, 1000], [5, 1000]]"),
-                 "options section is 2006 bytes, limit 1024",
+                 "entries[0]: options section is 2006 bytes, limit 1024",
                  id="dist-options-section-too-long"),
 ])
 def test_malformed_protocol_or_distribution_exits_2(
