@@ -21,7 +21,9 @@ pure function of config and seed, byte for byte.
 
 The MUACP_TICK_MS environment variable, when set, overrides the config's
 tick_ms: how many milliseconds one simulation tick represents in
-sim-scale reports (default 1.0).
+sim-scale reports (default 1.0).  The config's own rule judges it, as
+it judges a tick_ms in the file: positive, and small enough that every
+latency in ms stays finite.
 
 Only the codec and the typed reader are imported with this module; each
 command imports the layers it runs (consensus, compression, fipa or
@@ -33,7 +35,6 @@ from __future__ import annotations
 import argparse
 import enum
 import json
-import math
 import os
 import random
 import sys
@@ -48,22 +49,16 @@ class UsageError(Exception):
     pass
 
 
-def _tick_ms(default: float) -> float:
-    """MUACP_TICK_MS if set, else `default`.  Anything but a finite
-    positive number of milliseconds is a usage error."""
+def _with_env_tick_ms(cfg):
+    """`cfg` with MUACP_TICK_MS as its tick_ms, if set.  The config's
+    own rule judges the value; a refusal is a usage error."""
     raw = os.environ.get("MUACP_TICK_MS")
     if raw is None:
-        return default
+        return cfg
     try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise UsageError(
-            f"MUACP_TICK_MS must be a positive number of milliseconds, "
-            f"got {raw!r}"
-        )
-    return value
+        return replace(cfg, tick_ms=float(raw))
+    except ValueError as e:
+        raise UsageError(f"MUACP_TICK_MS={raw!r}: {e}") from e
 
 
 def _load_config(path: str, cls):
@@ -297,7 +292,7 @@ def cmd_sim_scale(args, argv) -> int:
     from .workloads import ScaleConfig, run_scale
 
     cfg = _load_config(args.config, ScaleConfig)
-    cfg = replace(cfg, tick_ms=_tick_ms(cfg.tick_ms))
+    cfg = _with_env_tick_ms(cfg)
     report, net = run_scale(cfg, events=args.events)
     summary = report.to_json()
     clean = summary["workload"]["clean"]

@@ -448,8 +448,13 @@ class Participant(BasicNode):
     # -- node hooks ---------------------------------------------------
 
     def next_wake(self, now: int) -> int | None:
-        """Every tick: the detector probes almost every tick at this
-        scale, so exact wake-ups would buy little."""
+        """Every tick, though most ticks have no work: on consensus_n5
+        seeds 1-100, 10,546 of 15,874 `on_tick` calls send nothing and
+        change nothing.  Exact wake-ups still cost more than they save.
+        A prototype that woke at the detector's, the agent's and the
+        proposer's next deadline kept all 21 consensus pins but ran
+        3-4% slower in an in-process A/B (2 vCPU, Python 3.11.7),
+        because `next_wake` runs after every delivery."""
         return now + 1
 
     def on_tick(self, net: Network, now: int) -> None:
@@ -760,6 +765,7 @@ class ExhaustiveReport:
     explored_states: int
     delivered_bound: int
     violations: tuple[str, ...]
+    opened_ballots: frozenset[Ballot]  # every ballot a timer opened
 
     @property
     def ok(self) -> bool:
@@ -800,6 +806,7 @@ def exhaustive_interleaving_check(
     ids: dict = {}
     objs: list = []
     moves: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
+    opened: set[Ballot] = set()
 
     def intern(x) -> int:
         if x not in ids:
@@ -813,6 +820,7 @@ def exhaustive_interleaving_check(
         if (i, sid, mid) not in moves:
             if mid < 0:
                 s, sent = start_attempt(configs[i], objs[sid], 0)
+                opened.add(s.ballot)
             else:
                 sender, _, c = objs[mid]
                 s, sent = step(configs[i], objs[sid], sender, c, 0)
@@ -868,4 +876,5 @@ def exhaustive_interleaving_check(
         explored_states=len(seen),
         delivered_bound=max_deliveries,
         violations=tuple(sorted(violations)),
+        opened_ballots=frozenset(opened),
     )

@@ -5,7 +5,10 @@ Two workloads run side by side:
   * request/response: every node periodically asks a uniformly chosen
     peer to perform an action (QoS 1, so the ask retransmits until the
     answer or an acknowledgement lands).  The verb semantics produce
-    the done() answer without any extra node logic.
+    the done() answer without any extra node logic.  Scale agents keep
+    no done() facts: a node forgets each one when the delivery that
+    asserted it has been accepted (see `ScaleNode`), so an agent's
+    knowledge base does not grow with the length of the run.
 
   * negotiation: a fixed-size pool of initiators runs contract-net
     rounds against seeded committees (call for proposals, propose or
@@ -20,6 +23,7 @@ checks assert under one percent message loss.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -82,6 +86,16 @@ class ScaleConfig(Config):
             raise ValueError(f"rr_deadline must be in 0..{U32_MAX}")
         if not self.tick_ms > 0:
             raise ValueError("tick_ms must be positive")
+        # Reports give latencies in ms, and JSON has no infinity.
+        try:
+            finite = math.isfinite(
+                self.tick_ms * float(max(self.sim.delay_max, self.sim.delta)))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ValueError(
+                "tick_ms is too large: tick_ms * max(sim.delay_max, "
+                "sim.delta) must be a finite number of ms")
 
 
 class WorkloadStats:
@@ -122,7 +136,15 @@ class _Round:
 
 class ScaleNode(BasicNode):
     """Combined workload behavior: every node answers requests and
-    serves on committees; initiator nodes additionally run rounds."""
+    serves on committees; initiator nodes additionally run rounds.
+
+    The agent's knowledge base is empty between deliveries: once the
+    agent has accepted a message, `on_deliver` forgets the one fact it
+    may have asserted (a performer's or an asker's `done(job_...)`, or
+    an initiator's `done(task_...)`).  No scale conversation queries a
+    fact, and job names carry their tick, so none is asked twice.  The
+    agent's verb semantics still assert it; only this embedding drops
+    it, so a long run holds no more facts than a short one."""
 
     def __init__(
         self,
@@ -279,6 +301,9 @@ class ScaleNode(BasicNode):
     def on_deliver(self, net: Network, label, now: int) -> None:
         if not super().on_deliver(net, label, now):
             return
+        # Forget what this delivery asserted: at most one fact, the only
+        # one held (see the class docstring).
+        self.agent.kb.clear()
         answers = self.agent.answers
         if answers:
             self.stats.completed["request"] += len(answers)

@@ -186,7 +186,7 @@ def test_sim_scale_events_log_is_the_runs_log(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "raw", ["junk", "", "nan", "inf", "-inf", "0", "-0.5", "1e999"]
+    "raw", ["junk", "", "nan", "inf", "-inf", "0", "-0.5", "1e999", "1e308"]
 )
 def test_bad_tick_ms_is_a_usage_error(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv("MUACP_TICK_MS", raw)
@@ -321,6 +321,11 @@ def test_malformed_consensus_config_exits_2(tmp_path, capsys, case):
                  id="tick_ms-0"),
     pytest.param(_set("tick_ms", -1.5), "tick_ms must be positive",
                  id="tick_ms--1.5"),
+    # Finite, but latencies in ms would overflow to Infinity in the report.
+    pytest.param(_set("tick_ms", 1e308), "tick_ms is too large",
+                 id="tick_ms-1e308"),
+    pytest.param(_set("tick_ms", 10**400), "tick_ms is too large",
+                 id="tick_ms-10^400"),
     *(pytest.param(_set(name, -1), f"{name} must not be negative",
                    id=f"{name}--1")
       for name in ("committee", "cnet_initiators", "proposal_wait",

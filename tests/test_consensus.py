@@ -493,16 +493,9 @@ def test_exhaustive_check_smaller_bound_subset(unpatched_at_14):
     assert small.explored_states <= full.explored_states
 
 
-def test_exhaustive_check_explores_round_two_ballots(monkeypatch):
-    opened = []
-
-    def recording_start(cfg, s, now):
-        s, sent = start_attempt(cfg, s, now)
-        opened.append(s.ballot)
-        return s, sent
-
-    monkeypatch.setattr(consensus, "start_attempt", recording_start)
-    assert exhaustive_interleaving_check(max_deliveries=14).ok
+def test_exhaustive_check_explores_round_two_ballots(unpatched_at_14):
+    opened = unpatched_at_14.opened_ballots
+    assert unpatched_at_14.ok
     assert {b.round for b in opened} == {1, 2}
     assert {b.proposer for b in opened if b.round == 2} == {0, 1}
 

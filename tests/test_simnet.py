@@ -484,17 +484,59 @@ def test_woken_nodes_match_nodes_polled_every_tick(monkeypatch, seed):
     assert _scale_outputs(cfg) == woken
 
 
-@pytest.mark.parametrize("edit", [
+def _small_scale(**edit) -> ScaleConfig:
+    return ScaleConfig(
+        **{"n": 20, "until": 200, "drain": 60, "cnet_initiators": 4, **edit})
+
+
+_SMALL_SCALE_EDITS = pytest.mark.parametrize("edit", [
+    dict(),
     dict(committee=0),        # a round with no members ends next tick
     dict(rr_deadline=0),      # asks time out on the tick they are sent
     dict(rr_period=1, round_pause=0, proposal_wait=0, until=100, drain=40),
-], ids=["committee-0", "rr_deadline-0", "every-tick"])
+], ids=["plain", "committee-0", "rr_deadline-0", "every-tick"])
+
+
+@_SMALL_SCALE_EDITS
 def test_woken_nodes_match_polled_on_edge_configs(monkeypatch, edit):
-    cfg = workloads.ScaleConfig(
-        **{"n": 20, "until": 200, "drain": 60, "cnet_initiators": 4, **edit})
+    cfg = _small_scale(**edit)
     woken = _scale_outputs(cfg)
     monkeypatch.setattr(workloads, "ScaleNode", PolledScaleNode)
     assert _scale_outputs(cfg) == woken
+
+
+@_SMALL_SCALE_EDITS
+def test_scale_agents_hold_no_facts_between_steps(monkeypatch, edit):
+    step, kb_insert = Network.step, Agent.kb_insert
+    steps = inserts = 0
+
+    def checked_step(net):
+        nonlocal steps
+        step(net)
+        steps += 1
+        assert not any(node.agent.kb for node in net.nodes.values())
+
+    def counted_insert(agent, lit):
+        nonlocal inserts
+        inserts += 1
+        kb_insert(agent, lit)
+
+    monkeypatch.setattr(Network, "step", checked_step)
+    monkeypatch.setattr(Agent, "kb_insert", counted_insert)
+    cfg = _small_scale(**edit)
+    run_scale(cfg)
+    assert steps == cfg.until
+    assert inserts > 0  # facts were asserted, and each was forgotten
+
+
+def test_scale_kb_facts_do_not_grow_with_run_length():
+    facts, requests = [], []
+    for until in (200, 600):
+        report, net = run_scale(_small_scale(until=until))
+        facts.append(sum(len(node.agent.kb) for node in net.nodes.values()))
+        requests.append(report.workload["completed"]["request"])
+    assert requests[0] < requests[1]
+    assert facts[0] == facts[1]
 
 
 def test_most_woken_nodes_transmit(monkeypatch):
