@@ -142,9 +142,7 @@ class PendingAsk:
 class Retransmit:
     to: int
     message: Message
-    interval: int
     next_at: int
-    attempts: int = 0
 
 
 class HistoryEntry(NamedTuple):
@@ -358,7 +356,6 @@ class Agent:
                 self.retransmits[h.correlation_id] = Retransmit(
                     to=to,
                     message=msg,
-                    interval=self.retransmit_interval,
                     next_at=now + self.retransmit_interval,
                 )
             if h.verb == _ASK and msg.find(_CONTENT_TYPE) is not None:
@@ -398,7 +395,7 @@ class Agent:
             # Peer text that is not UTF-8, and content whose answer the
             # codec cannot carry, are bad content too.
             replies = [] if response else [
-                (sender, self._error_reply(h, str(e)))]
+                (sender, self._error_reply(str(e), cid))]
 
         if (
             h.qos >= 1
@@ -422,7 +419,7 @@ class Agent:
         try:
             msg = wire.decode(data)
         except wire.WireError as e:
-            return [(sender, self._malformed_reply(str(e)))]
+            return [(sender, self._error_reply(str(e)))]
         return self.receive(msg, sender, now)
 
     def _apply(
@@ -485,19 +482,14 @@ class Agent:
 
         raise BadContent(f"verb {verb}")  # unreachable; enum is total
 
-    def _error_reply(self, h: wire.Header, detail: str) -> Message:
+    def _error_reply(self, detail: str, cid: int | None = None) -> Message:
+        """The error reply to a message with correlation id `cid`, or
+        under a fresh one when the message could not be decoded."""
         return self.build(
             _PING,
             options=(wire.opt_err(detail[:64]),),
             flags=FLAG_RESPONSE | FLAG_ERROR,
-            cid=h.correlation_id,
-        )
-
-    def _malformed_reply(self, detail: str) -> Message:
-        return self.build(
-            _PING,
-            options=(wire.opt_err(detail[:64]),),
-            flags=FLAG_RESPONSE | FLAG_ERROR,
+            cid=cid,
         )
 
     # -- timers and publication ------------------------------------------
@@ -521,8 +513,7 @@ class Agent:
         for cid in sorted(self.retransmits):
             rt = self.retransmits[cid]
             if rt.next_at <= now:
-                rt.next_at = now + rt.interval
-                rt.attempts += 1
+                rt.next_at = now + self.retransmit_interval
                 out.append((rt.to, rt.message))
         return out
 

@@ -249,10 +249,8 @@ def cmd_sim_consensus(args, argv) -> int:
         "crash_count": cfg.crash_count,
         "safety_violations": len(unsafe),
         "liveness_misses": len(incomplete),
-        "mean_core_messages": (
-            round(sum(r["core_messages"] for r in rows) / len(rows), 3)
-            if rows else 0
-        ),
+        "mean_core_messages": round(
+            sum(r["core_messages"] for r in rows) / len(rows), 3),
         "seeds": list(cfg.seeds),
     }
     print(
@@ -274,7 +272,7 @@ def cmd_sim_consensus(args, argv) -> int:
             os.path.join(args.out, "corpus_dist.json"), dist.to_json()
         )
         outputs = ["runs.csv", "summary.json", "corpus_dist.json"]
-        if args.log_first and runs:
+        if args.log_first:
             runs[0].outcome.log.write_jsonl(
                 os.path.join(args.out, "events_first_seed.jsonl")
             )
@@ -447,22 +445,17 @@ def cmd_validate(args, argv) -> int:
         sidecar = os.path.splitext(path)[0] + ".json"
         expect = (_load_config(sidecar, Sidecar)
                   if os.path.exists(sidecar) else None)
-        violations = wire.validate(blob)
-        error_name = None
-        msg = None
+        error = error_name = msg = None
         try:
             msg = wire.decode(blob)
         except wire.WireError as e:
-            error_name = type(e).__name__
+            error, error_name = e, type(e).__name__
 
         if expect is None:
-            status = "well-formed" if not violations else (
-                "malformed: " + "; ".join(
-                    f"[{v.clause}] {v.detail}" for v in violations
-                )
-            )
+            status = "well-formed" if error is None else (
+                f"malformed: [{error.clause}] {error}")
             print(f"validate: {path}: {status}")
-            ok = ok and not violations
+            ok = ok and error is None
             continue
 
         failures = []

@@ -24,15 +24,18 @@ tick, but still counts as one protocol message.
 The acceptor and proposer rules are written once, as transition
 functions that do no I/O (`step`, `start_attempt`).  `Participant`
 adapts them to the network, and the exhaustive checker at the bottom
-drives the same functions.  Safety needs no synchrony: with any
+drives the same functions; both build each node's `NodeConfig` with
+`DecreeConfig.node_config`.  Safety needs no synchrony: with any
 majority quorum, two different values can never both be chosen.  The
 checker verifies that claim over every interleaving of deliveries and
-retries, up to two ballot rounds, in a small two-proposer
-configuration, not just sampled schedules.
+retries, up to two ballot rounds, in the constant decree
+`EXPLORED_DECREE` (three nodes, two proposers), not just sampled
+schedules.
 """
 
 from __future__ import annotations
 
+import random
 import struct
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
@@ -143,7 +146,7 @@ def classify(msg: Message) -> Classified | None:
 class _Monitor:
     timeout: int
     suspected: bool = False
-    outstanding: tuple[int, int] | None = None  # (cid, sent_at)
+    sent_at: int | None = None  # tick of the probe still unanswered
     next_ping_at: int = 0
 
 
@@ -171,12 +174,12 @@ class FailureDetector:
         ping_interval: int,
         timeout: int,
         timeout_cap: int,
-        start: int = 0,
     ):
         self.ping_interval = ping_interval
         self.timeout_cap = timeout_cap
+        # Built in peer order, so `step` reports due peers sorted.
         self.monitors = {
-            p: _Monitor(timeout=timeout, next_ping_at=start + i)
+            p: _Monitor(timeout=timeout, next_ping_at=i)
             for i, p in enumerate(sorted(peers))
         }
         self.history: list[SuspicionEvent] = []
@@ -184,40 +187,33 @@ class FailureDetector:
     def suspects(self, peer: int) -> bool:
         return self.monitors[peer].suspected
 
-    @property
-    def suspected(self) -> set[int]:
-        return {p for p, m in self.monitors.items() if m.suspected}
-
     def step(self, now: int) -> list[int]:
         """Peers that need a fresh probe this tick.  The caller must
         follow up with note_ping for each."""
         due = []
-        for peer in sorted(self.monitors):
-            m = self.monitors[peer]
-            if m.outstanding is not None:
-                _cid, sent_at = m.outstanding
-                if now - sent_at >= m.timeout:
-                    if not m.suspected:
-                        m.suspected = True
-                        self.history.append(
-                            SuspicionEvent(now, peer, "suspect", m.timeout)
-                        )
-                    m.outstanding = None
-                    m.next_ping_at = now
-            if m.outstanding is None and now >= m.next_ping_at:
+        for peer, m in self.monitors.items():
+            if m.sent_at is not None and now - m.sent_at >= m.timeout:
+                if not m.suspected:
+                    m.suspected = True
+                    self.history.append(
+                        SuspicionEvent(now, peer, "suspect", m.timeout)
+                    )
+                m.sent_at = None
+                m.next_ping_at = now
+            if m.sent_at is None and now >= m.next_ping_at:
                 due.append(peer)
         return due
 
-    def note_ping(self, peer: int, cid: int, now: int) -> None:
+    def note_ping(self, peer: int, now: int) -> None:
         m = self.monitors[peer]
-        m.outstanding = (cid, now)
+        m.sent_at = now
         m.next_ping_at = now + self.ping_interval
 
     def on_pong(self, peer: int, now: int) -> None:
         if peer not in self.monitors:
             return
         m = self.monitors[peer]
-        m.outstanding = None
+        m.sent_at = None
         if m.suspected:
             m.suspected = False
             m.timeout = min(m.timeout * 2, self.timeout_cap)
@@ -252,16 +248,20 @@ _IDLE, _PREPARING, _ACCEPTING = "idle", "preparing", "accepting"
 
 Sent = list[tuple[int, Classified]]
 
+#: Base of a nacked proposer's cooldown; node `id` waits
+#: RETRY_BACKOFF + id % (RETRY_BACKOFF + 1) ticks before it retries.
+RETRY_BACKOFF = 3
+
 
 @dataclass(frozen=True)
 class NodeConfig:
-    """What a node's rules read but never change."""
+    """What a node's rules read but never change; a decree's nodes
+    get theirs from `DecreeConfig.node_config`."""
 
     id: int
     peers: tuple[int, ...]  # sorted, including id
     value: bytes            # what this node proposes when free to choose
     retry_timeout: int = 30
-    retry_backoff: int = 3
 
     @property
     def quorum(self) -> int:
@@ -391,7 +391,7 @@ def _rules(
             return s, []
         # Deterministic per-id backoff so dueling proposers
         # desynchronize instead of nacking each other forever.
-        backoff = cfg.retry_backoff + cfg.id % (cfg.retry_backoff + 1)
+        backoff = RETRY_BACKOFF + cfg.id % (RETRY_BACKOFF + 1)
         return s._replace(phase=_IDLE, cooldown_until=now + backoff), []
     if kind == "decide":
         return _decide(cfg, s, c.value, now)
@@ -419,21 +419,13 @@ class Participant(BasicNode):
     them to the rules above, builds and emits what they send, counts
     every logical message, and runs the failure detector that decides
     who leads.  Everything it is configured with comes from `decree`:
-    its peers (every node below `decree.n`), the proposers, the instance,
-    the retry timeout and the detector settings.  It proposes its entry
-    of `decree.values` when it has one, else `v<id>`."""
+    its rules' `NodeConfig` (`decree.node_config`), the proposers, the
+    instance and the detector settings."""
 
     def __init__(self, agent: Agent, decree: DecreeConfig):
         super().__init__(agent)
         self.proposer_ids = decree.proposer_ids()
-        value = dict(zip(self.proposer_ids, decree.values or ())).get(
-            self.id, f"v{self.id}")
-        self.config = NodeConfig(
-            id=self.id,
-            peers=tuple(range(decree.n)),
-            value=value.encode(),
-            retry_timeout=decree.retry_timeout,
-        )
+        self.config = decree.node_config(self.id)
         self.state = NodeState()
         self.is_proposer = self.id in self.proposer_ids
         self.instance = decree.instance
@@ -460,10 +452,8 @@ class Participant(BasicNode):
     def on_tick(self, net: Network, now: int) -> None:
         super().on_tick(net, now)
         for peer in self.fd.step(now):
-            cid = self.agent.fresh_cid()
-            ping = self.agent.make_ping(cid=cid)
-            if self.emit(net, peer, ping, now):
-                self.fd.note_ping(peer, cid, now)
+            if self.emit(net, peer, self.agent.make_ping(), now):
+                self.fd.note_ping(peer, now)
         s = self.state
         if s.decided is not None or not self.is_proposer:
             return
@@ -555,6 +545,19 @@ class DecreeConfig(schema.Config):
             return list(range(self.n))
         return sorted(self.proposers)
 
+    def node_config(self, node: int) -> NodeConfig:
+        """What node `node`'s rules read: every node below `n` is a peer,
+        and it proposes its entry of `values` when it has one, else
+        `v<node>`."""
+        value = dict(zip(self.proposer_ids(), self.values or ())).get(
+            node, f"v{node}")
+        return NodeConfig(
+            id=node,
+            peers=tuple(range(self.n)),
+            value=value.encode(),
+            retry_timeout=self.retry_timeout,
+        )
+
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be at least 1")
@@ -580,7 +583,6 @@ class DecreeOutcome:
     crashed: set[int]
     counts: Counter
     proposed: set[bytes]
-    suspicions: dict[int, list[SuspicionEvent]]
     ticks: int
     log: object
 
@@ -636,7 +638,6 @@ def run_decree(
         proposed={
             participants[pid].config.value for pid in config.proposer_ids()
         },
-        suspicions={p.id: list(p.fd.history) for p in participants},
         ticks=net.now,
         log=net.log,
     )
@@ -686,11 +687,9 @@ def derive_fault_schedule(
     seed: int, n: int, crash_count: int, window: tuple[int, int]
 ) -> tuple[tuple[int, int], ...]:
     """Deterministic per-seed crash schedule: which agents fail and when."""
-    import random as _random
-
-    rng = _random.Random((seed * 0x9E3779B1) & 0xFFFFFFFF)
     if crash_count <= 0:
         return ()
+    rng = random.Random((seed * 0x9E3779B1) & 0xFFFFFFFF)
     victims = rng.sample(range(n), min(crash_count, n))
     lo, hi = window
     return tuple(
@@ -759,6 +758,10 @@ def run_campaign(
 #: 2 is where a nacked proposer retries and must adopt accepted values.
 EXPLORE_ROUNDS = 2
 
+#: The decree the exhaustive check explores: three nodes, of which
+#: nodes 0 and 1 propose "x" and "y".
+EXPLORED_DECREE = DecreeConfig(n=3, proposers=(0, 1), values=("x", "y"))
+
 
 @dataclass(frozen=True)
 class ExhaustiveReport:
@@ -773,17 +776,16 @@ class ExhaustiveReport:
 
 
 def exhaustive_interleaving_check(
-    n: int = 3,
-    proposer_values: tuple[bytes, ...] = (b"x", b"y"),
     max_deliveries: int = 14,
 ) -> ExhaustiveReport:
-    """Explore every interleaving of a multi-proposer decree up to a
-    bounded number of steps and assert no two nodes ever decide
-    different values.
+    """Explore every interleaving of EXPLORED_DECREE up to a bounded
+    number of steps and assert no two nodes ever decide different
+    values.
 
-    Nodes 0 .. len(proposer_values)-1 propose.  A state is every node's
-    `NodeState` plus the multiset of messages in flight, and it moves by
-    the rules `Participant` runs.  One step either delivers any message
+    Each node's `NodeConfig` comes from `DecreeConfig.node_config`, as a
+    `Participant`'s does.  A state is every node's `NodeState` plus the
+    multiset of messages in flight, and it moves by the rules
+    `Participant` runs.  One step either delivers any message
     in flight (`step`) or fires the timer of an idle, undecided proposer
     that has seen fewer than EXPLORE_ROUNDS rounds (`start_attempt`, the
     restart branch of `Participant.on_tick`).  Time stays at tick 0: no
@@ -794,12 +796,9 @@ def exhaustive_interleaving_check(
     of an explored one.  For the same reason a delivery that changes
     nothing and sends nothing is not explored.
     """
-    peers = tuple(range(n))
-    configs = [
-        NodeConfig(i, peers, proposer_values[i] if i < len(proposer_values)
-                   else f"v{i}".encode())
-        for i in peers
-    ]
+    decree = EXPLORED_DECREE
+    configs = [decree.node_config(i) for i in range(decree.n)]
+    proposers = decree.proposer_ids()
     # Node states and (sender, receiver, message) triples are interned as
     # ints; the rules are pure, so each (node, state, event) move is
     # computed once.
@@ -834,7 +833,7 @@ def exhaustive_interleaving_check(
     # Breadth-first so each state is first visited at its minimal
     # depth; exploring from there subsumes any deeper revisit, which
     # makes the seen-set pruning sound under the depth cap.
-    queue = deque([((intern(NodeState()),) * n, (), 0)])
+    queue = deque([((intern(NodeState()),) * decree.n, (), 0)])
     while queue:
         nodes, inflight, depth = queue.popleft()
         if (nodes, inflight) in seen:
@@ -853,8 +852,8 @@ def exhaustive_interleaving_check(
             continue
         events = [
             (i, -1, inflight)
-            for i, s in enumerate(states[:len(proposer_values)])
-            if s.decided is None and s.phase == _IDLE
+            for i, s in enumerate(states)
+            if i in proposers and s.decided is None and s.phase == _IDLE
             and s.max_round_seen < EXPLORE_ROUNDS
         ]
         for k, mid in enumerate(inflight):

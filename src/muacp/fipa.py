@@ -463,7 +463,6 @@ class _TraceRun:
     QUIESCENT_BUDGET = 64
 
     def __init__(self, auto: ConversationAutomaton, translate_fn):
-        self.auto = auto
         self.translate_fn = translate_fn
         self.role_ids = {role: i for i, role in enumerate(sorted(auto.roles))}
         self.observed: list[ProjectedEvent] = []

@@ -332,10 +332,9 @@ class Network:
                 None if verb is None else _VERB_NAMES[verb], reason, message,
             ))
 
-    def transmit(self, label: TransitionLabel) -> int:
+    def transmit(self, label: TransitionLabel) -> None:
         """Schedule one transmission (plus a possible duplicate) at the
-        current tick and note the send.  Returns the copy count actually
-        scheduled."""
+        current tick and note the send."""
         sender, receiver, msg = label
         if sender in self.crashed:
             raise RuntimeError(f"crashed agent {sender} cannot send")
@@ -350,7 +349,6 @@ class Network:
 
         synchronous = self.now >= cfg.gst
         streak_key = (sender, receiver, msg.header.message_id)
-        copies = 0
         if synchronous:
             dropped = False
         else:
@@ -369,18 +367,15 @@ class Network:
         else:
             self._drop_streak.pop(streak_key, None)
             self._schedule(uid, label, synchronous)
-            copies += 1
 
         if self.rng.random() < cfg.dup_rate:
             # At most one duplicate per transmission; duplicates are
             # never dropped (they model late copies already in flight).
             self.note("dup", sender, receiver, uid=uid)
             self._schedule(uid, label, synchronous)
-            copies += 1
         # A node sending from its own hook is asked again after it.
         if sender != self._running and sender in self.nodes:
             self._requery(sender)
-        return copies
 
     def _schedule(
         self, uid: int, label: TransitionLabel, synchronous: bool

@@ -580,6 +580,19 @@ def test_sidecar_mismatch_names_each_field(tmp_path, capsys):
         "verb: got 'PING', expected 'TELL')\n")
 
 
+def test_validate_without_sidecar_reports_each_vector(tmp_path, capsys):
+    good, bad = tmp_path / "good.hex", tmp_path / "bad.hex"
+    good.write_text((ROOT / "vectors" / "ping_min.hex").read_text())
+    bad.write_text((ROOT / "vectors" / "truncated.hex").read_text())
+    assert main(["validate", str(good)]) == 0
+    assert capsys.readouterr().out == f"validate: {good}: well-formed\n"
+    assert main(["validate", str(good), str(bad)]) == 1
+    assert capsys.readouterr().out == (
+        f"validate: {good}: well-formed\n"
+        f"validate: {bad}: malformed: [header] 6 bytes, minimum message "
+        "is 11\n")
+
+
 # SHA-256 of the checker reports over the shipped inputs, named by
 # relative paths from the repository root.
 TRACES_SHA256 = (

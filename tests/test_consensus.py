@@ -243,7 +243,7 @@ def test_self_addressed_messages_apply_at_once_in_send_order():
 
 
 def test_nack_backs_off_by_proposer_id():
-    cfg = NodeConfig(id=2, peers=(0, 1, 2), value=b"v", retry_backoff=3)
+    cfg = NodeConfig(id=2, peers=(0, 1, 2), value=b"v")
     s, _ = start_attempt(cfg, NodeState(), now=0)
     s, sent = step(cfg, s, 1, Classified("nack", ballot=Ballot(4, 1)), 10)
     assert sent == []
@@ -301,9 +301,9 @@ def test_leader_crash_recovers():
 
 def test_detector_suspects_silent_peer_and_restores_on_pong():
     fd = FailureDetector([1], ping_interval=5, timeout=10,
-                         timeout_cap=80, start=0)
+                         timeout_cap=80)
     assert fd.step(0) == [1]
-    fd.note_ping(1, cid=7, now=0)
+    fd.note_ping(1, now=0)
     for t in range(1, 10):
         assert fd.step(t) == []
     fd.step(10)
@@ -318,7 +318,7 @@ def test_detector_suspects_silent_peer_and_restores_on_pong():
 
 def test_detector_timeout_capped():
     fd = FailureDetector([1], ping_interval=1, timeout=60,
-                         timeout_cap=80, start=0)
+                         timeout_cap=80)
     fd.monitors[1].suspected = True
     fd.on_pong(1, now=0)
     assert fd.monitors[1].timeout == 80
@@ -326,12 +326,12 @@ def test_detector_timeout_capped():
 
 def test_detector_probes_staggered_per_peer():
     fd = FailureDetector([1, 2, 3], ping_interval=5, timeout=10,
-                         timeout_cap=80, start=0)
+                         timeout_cap=80)
     for t, expected in ((0, [1]), (1, [2]), (2, [3]), (3, [])):
         due = fd.step(t)
         assert due == expected
         for peer in due:
-            fd.note_ping(peer, cid=t, now=t)
+            fd.note_ping(peer, now=t)
 
 
 def test_suspicion_bound_formula():
@@ -349,6 +349,16 @@ def test_fault_schedule_deterministic_and_in_window():
     assert len({aid for aid, _ in a}) == 2
     assert all(5 <= t <= 40 for _, t in a)
     assert a != derive_fault_schedule(10, n=5, crash_count=2, window=(5, 40))
+
+
+def test_zero_crash_campaign_runs_with_empty_schedules():
+    assert derive_fault_schedule(9, n=5, crash_count=0, window=(5, 40)) == ()
+    cfg = CampaignConfig.from_json({
+        "base": {"n": 3}, "seed_count": 3, "crash_count": 0})
+    runs, _ = run_campaign(cfg)
+    assert [run.outcome.config.sim.fault_schedule for run in runs] == [
+        (), (), ()]
+    assert all(run.outcome.crashed == set() for run in runs)
 
 
 def test_campaign_rows_and_corpus():
