@@ -169,6 +169,15 @@ def _bench_messages(seed: int) -> dict[str, list[wire.Message]]:
     return fixed
 
 
+def _us_per_call(fn, items, iterations: int) -> float:
+    """Mean microseconds of one `fn(item)` over `iterations` passes."""
+    t0 = time.perf_counter_ns()
+    for _ in range(iterations):
+        for item in items:
+            fn(item)
+    return (time.perf_counter_ns() - t0) / (iterations * len(items)) / 1000.0
+
+
 def cmd_bench_codec(args, argv) -> int:
     iterations = args.iterations
     if iterations < 1:
@@ -189,22 +198,19 @@ def cmd_bench_codec(args, argv) -> int:
         if wire.decode(b) != m:
             raise AssertionError("codec roundtrip failure in benchmark pool")
 
-    t0 = time.perf_counter_ns()
-    for _ in range(iterations):
-        for m in pool:
-            wire.encode(m)
-    encode_ns = (time.perf_counter_ns() - t0) / (iterations * len(pool))
-    t0 = time.perf_counter_ns()
-    for _ in range(iterations):
-        for b in blobs:
-            wire.decode(b)
-    decode_ns = (time.perf_counter_ns() - t0) / (iterations * len(blobs))
-
     timing = {
         "messages": len(pool),
         "iterations": iterations,
-        "encode_us_mean": encode_ns / 1000.0,
-        "decode_us_mean": decode_ns / 1000.0,
+        "encode_us_mean": _us_per_call(wire.encode, pool, iterations),
+        "decode_us_mean": _us_per_call(wire.decode, blobs, iterations),
+        "per_class": {
+            name: {
+                "encode_us": _us_per_call(wire.encode, msgs, iterations),
+                "decode_us": _us_per_call(
+                    wire.decode, [wire.encode(m) for m in msgs], iterations),
+            }
+            for name, msgs in sorted(groups.items())
+        },
     }
     print(
         f"bench-codec: {len(pool)} messages, "
@@ -212,7 +218,10 @@ def cmd_bench_codec(args, argv) -> int:
         f"decode {timing['decode_us_mean']:.3f} us"
     )
     for row in size_rows:
-        print(f"  {row[0]}: mean {row[2]} bytes over {row[1]}")
+        t = timing["per_class"][row[0]]
+        print(f"  {row[0]}: mean {row[2]} bytes over {row[1]}, "
+              f"encode {t['encode_us']:.3f} us, "
+              f"decode {t['decode_us']:.3f} us")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _csv(
@@ -238,6 +247,12 @@ def cmd_sim_consensus(args, argv) -> int:
     cfg = _load_config(args.config, CampaignConfig)
     if args.seeds is not None:
         cfg = replace(cfg, seeds=tuple(_parse_seeds(args.seeds, MAX_SEEDS)))
+    retry, delta = cfg.base.retry_timeout, cfg.base.sim.delta
+    if retry < 2 * delta:
+        print(f"warning: base.retry_timeout {retry} is below 2 * "
+              f"base.sim.delta {delta}, a post-stabilization round trip; "
+              f"attempts may restart before their promises arrive and "
+              f"never decide", file=sys.stderr)
     runs, corpus = run_campaign(cfg, collect_corpus=True)
 
     rows = [run.row() for run in runs]

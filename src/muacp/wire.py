@@ -30,10 +30,27 @@ empty payload) is exactly 11 bytes on the wire.
 `Header`, `Option` and `Message` are immutable tuples, validated once
 by their constructors; each field range and limit is written once, below,
 for the constructors, `check_wellformed` and `profile_faults`, which judges
-a message known only by its option lengths, alike.  `decode` checks what
-bytes can get wrong (truncation, version, the options-section limit,
-trailing bytes) and builds values unchecked, since the byte format bounds
-every other field.  NamedTuple's `_make` and `_replace` skip the checks.
+a message known only by its option lengths, alike.  NamedTuple's `_make`
+and `_replace` skip the checks.
+
+`decode` checks only what bytes can get wrong and builds values
+unchecked, since the byte format bounds every other field.  It raises
+the first failure of these checks, in this order:
+
+1. the input is at least MIN_MESSAGE_SIZE bytes (`Truncated`, "header");
+2. the version is PROTOCOL_VERSION (`BadVersion`, "header");
+3. for each option in turn: its type and length lie within the input,
+   then its value does (`Truncated`, "option"), then the options section
+   up to the value's end is at most OPTIONS_LIMIT bytes
+   (`OversizedOptions`, "options-size");
+4. the payload length lies within the input, then the payload does
+   (`Truncated`, "payload");
+5. no bytes follow the payload (`LengthMismatch`, "payload").
+
+The options section starts at byte 9, so after an option that ends at
+byte `pos` it is `pos - 9` bytes long.  Each option therefore costs one
+bound check, `pos <= min(len(data), 9 + OPTIONS_LIMIT)`; only an option
+that fails it is told apart, truncation first.
 """
 
 from __future__ import annotations
@@ -162,10 +179,22 @@ class FieldRange(WireError):
     """A header or option field is outside its encodable range."""
 
 
-_HEADER = struct.Struct(">BBHHH")
+# The codec's bound pack and unpack methods.  One call packs the header
+# and option count, and one the 11 bytes of a message without options:
+# header, count and payload length.
+_pack_head = struct.Struct(">BBHHHB").pack
+_BARE = struct.Struct(">BBHHHBH")
+_pack_bare = _BARE.pack
+_unpack_bare = _BARE.unpack_from
 _OPTION_HEAD = struct.Struct(">BH")
+_pack_option_head = _OPTION_HEAD.pack
+_unpack_option_head = _OPTION_HEAD.unpack_from
 _U16 = struct.Struct(">H")
+_pack_u16 = _U16.pack
+_unpack_u16 = _U16.unpack_from
 _U32 = struct.Struct(">I")
+_SECTION_START = HEADER_SIZE + 1        # first byte of the options section
+_SECTION_END = _SECTION_START + OPTIONS_LIMIT
 _new = tuple.__new__
 
 
@@ -379,15 +408,15 @@ def encode(msg: Message) -> bytes:
     message value.
     """
     (verb, qos, flags, mid, seq, cid, version), options, payload, _ = msg
-    parts = [
-        _HEADER.pack((version << 4) | (verb << 2) | qos, flags, mid, seq, cid),
-        bytes((len(options),)),
-    ]
+    b0 = (version << 4) | (verb << 2) | qos
+    if not options:
+        return _pack_bare(b0, flags, mid, seq, cid, 0, len(payload)) + payload
+    parts = [_pack_head(b0, flags, mid, seq, cid, len(options))]
     append = parts.append
     for code, value in options:
-        append(_OPTION_HEAD.pack(code, len(value)))
+        append(_pack_option_head(code, len(value)))
         append(value)
-    append(_U16.pack(len(payload)))
+    append(_pack_u16(len(payload)))
     append(payload)
     return b"".join(parts)
 
@@ -396,54 +425,67 @@ def decode(data: bytes) -> Message:
     """Parse wire bytes into a Message.
 
     Raises a WireError subclass for any malformed input; never raises
-    anything else, regardless of input bytes.
+    anything else, regardless of input bytes.  The checks run in the
+    order the module docstring gives.
     """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise TypeError(f"expected bytes, got {type(data).__name__}")
-    data = bytes(data)
+    if type(data) is not bytes:
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise TypeError(f"expected bytes, got {type(data).__name__}")
+        data = bytes(data)
     n = len(data)
     if n < MIN_MESSAGE_SIZE:
         raise Truncated(f"{n} bytes, minimum message is {MIN_MESSAGE_SIZE}")
-    b0, flags, mid, seq, cid = _HEADER.unpack_from(data, 0)
+    # Every input this long holds the header, the count and two more
+    # bytes: the payload length when there are no options.
+    b0, flags, mid, seq, cid, count, plen = _unpack_bare(data)
     version = b0 >> 4
     if version != PROTOCOL_VERSION:
         raise BadVersion(f"version {version}, expected {PROTOCOL_VERSION}")
 
-    pos = HEADER_SIZE
-    count = data[pos]
-    pos += 1
-    options = []
-    section = 0
-    for _ in range(count):
-        if pos + 3 > n:
-            raise Truncated("option header runs past end of input", "option")
-        code, vlen = _OPTION_HEAD.unpack_from(data, pos)
-        pos += 3
-        if pos + vlen > n:
-            raise Truncated("option value runs past end of input", "option")
-        section += 3 + vlen
-        if section > OPTIONS_LIMIT:
-            raise OversizedOptions(
-                f"options section exceeds {OPTIONS_LIMIT} bytes",
-                "options-size",
-            )
-        options.append(_new(Option, (code, data[pos:pos + vlen])))
-        pos += vlen
-    if pos + 2 > n:
-        raise Truncated("payload length field runs past end of input", "payload")
-    (plen,) = _U16.unpack_from(data, pos)
-    pos += 2
-    if pos + plen > n:
-        raise Truncated("payload runs past end of input", "payload")
-    payload = data[pos:pos + plen]
-    pos += plen
-    if pos != n:
+    if count:
+        # One bound per option (see the module docstring): past it, the
+        # option runs past the input or takes the section past its limit.
+        pos = _SECTION_START
+        limit = n if n < _SECTION_END else _SECTION_END
+        options = []
+        append = options.append
+        for _ in range(count):
+            try:
+                code, vlen = _unpack_option_head(data, pos)
+            except struct.error:
+                raise Truncated("option header runs past end of input",
+                                "option") from None
+            start = pos + 3
+            pos = start + vlen
+            if pos > limit:
+                if pos > n:
+                    raise Truncated(
+                        "option value runs past end of input", "option")
+                raise OversizedOptions(
+                    f"options section exceeds {OPTIONS_LIMIT} bytes",
+                    "options-size",
+                )
+            append(_new(Option, (code, data[start:pos])))
+        try:
+            (plen,) = _unpack_u16(data, pos)
+        except struct.error:
+            raise Truncated("payload length field runs past end of input",
+                            "payload") from None
+        start = pos + 2
+        options = tuple(options)
+    else:
+        start = MIN_MESSAGE_SIZE
+        options = ()
+    end = start + plen
+    if end != n:
+        if end > n:
+            raise Truncated("payload runs past end of input", "payload")
         raise LengthMismatch(
-            f"{n - pos} trailing bytes after message end", "payload"
+            f"{n - end} trailing bytes after message end", "payload"
         )
     header = _new(Header, (_VERBS[(b0 >> 2) & 0x3], b0 & 0x3, flags, mid,
                            seq, cid, version))
-    return _new(Message, (header, tuple(options), payload, n))
+    return _new(Message, (header, options, data[start:], n))
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ def test_missing_config_file_is_a_usage_error(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
-def test_bench_codec_outputs(tmp_path):
+def test_bench_codec_outputs(tmp_path, capsys):
     out = tmp_path / "bench"
     assert main(["bench-codec", "--iterations", "3", "--out", str(out)]) == 0
     names = {p.name for p in out.iterdir()}
@@ -56,6 +56,18 @@ def test_bench_codec_outputs(tmp_path):
     assert timing["encode_us_mean"] > 0
     assert timing["decode_us_mean"] > 0
     assert timing["iterations"] == 3
+    # one timing per class of sizes.csv
+    classes = [row.split(",")[0] for row in
+               (out / "sizes.csv").read_text().strip().splitlines()[1:]]
+    assert sorted(timing["per_class"]) == sorted(classes) == [
+        "ask_query", "empty_ping", "random_mix", "tell_one_option"]
+    for t in timing["per_class"].values():
+        assert set(t) == {"encode_us", "decode_us"}
+        assert t["encode_us"] > 0 and t["decode_us"] > 0
+    printed = capsys.readouterr().out
+    for name in classes:
+        assert any(line.startswith(f"  {name}: ") and " us, decode " in line
+                   for line in printed.splitlines()), printed
 
 
 @pytest.mark.parametrize("iterations", ["0", "-1"])
@@ -90,6 +102,45 @@ def test_sim_consensus_explicit_seed_list(tmp_path):
                  "--seeds", "3,11", "--out", str(out)]) == 0
     rows = (out / "runs.csv").read_text().strip().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["3", "11"]
+
+
+def _consensus_with_retry(tmp_path, retry_timeout: int) -> Path:
+    cfg = json.loads(small_consensus_config(tmp_path).read_text())
+    cfg["base"]["retry_timeout"] = retry_timeout
+    p = tmp_path / f"retry{retry_timeout}.json"
+    p.write_text(json.dumps(cfg))
+    return p
+
+
+def test_sim_consensus_warns_once_when_retry_is_below_a_round_trip(
+        tmp_path, capsys):
+    # delta 5: a post-stabilization round trip takes up to 10 ticks
+    cfg = _consensus_with_retry(tmp_path, 9)
+    out = tmp_path / "runs"
+    assert main(["sim-consensus", "--config", str(cfg), "--seeds", "0:2",
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: "), captured.err
+    assert "retry_timeout 9" in lines[0] and "delta 5" in lines[0]
+    assert captured.out.startswith("sim-consensus: 2 runs at n=3")
+    assert {p.name for p in out.iterdir()} == {
+        "runs.csv", "summary.json", "corpus_dist.json", "manifest.json"}
+
+
+@pytest.mark.parametrize("config", [
+    "consensus_n3.json", "consensus_n5.json", "consensus_n7.json"])
+def test_sim_consensus_shipped_configs_do_not_warn(tmp_path, capsys, config):
+    assert main(["sim-consensus", "--config", str(ROOT / "configs" / config),
+                 "--seeds", "0:1", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_sim_consensus_retry_of_one_round_trip_does_not_warn(
+        tmp_path, capsys):
+    cfg = _consensus_with_retry(tmp_path, 10)
+    assert main(["sim-consensus", "--config", str(cfg), "--seeds", "0:1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_check_traces_pass_and_fail(tmp_path):

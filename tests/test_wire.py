@@ -295,6 +295,174 @@ def test_truncations_rejected(m):
             decode(blob[:cut])
 
 
+# -- decode's check order ---------------------------------------------------
+#
+# decode checks each option against one bound, min(len, 9 + OPTIONS_LIMIT),
+# and tells an option past it apart only then; these pin the order that
+# the module docstring documents, against a parser written in that order.
+
+
+def _frame(*options, payload=b"", count=None, b0=0x10) -> bytes:
+    """Raw wire bytes: a header with first byte `b0`, `count` (default
+    the number of options) and each `(code, value)` option, unchecked."""
+    out = bytes([b0, 0, 0, 0, 0, 0, 0, 0,
+                 len(options) if count is None else count])
+    for code, value in options:
+        out += bytes([code]) + len(value).to_bytes(2, "big") + value
+    return out + len(payload).to_bytes(2, "big") + payload
+
+
+def _verdict(data):
+    """What decoding `data` gives: the message, or the error's class,
+    clause and text."""
+    try:
+        return decode(data)
+    except WireError as e:
+        return (type(e), e.clause, str(e))
+
+
+_SECTION_1024 = ((1, b"a" * 509), (2, b"b" * 509))      # 2 * (3 + 509)
+_SECTION_1025 = ((1, b"a" * 510), (2, b"b" * 509))
+_OVERSIZED = (wire.OversizedOptions, "options-size",
+              "options section exceeds 1024 bytes")
+_OPTION_HEAD_CUT = (wire.Truncated, "option",
+                    "option header runs past end of input")
+_OPTION_VALUE_CUT = (wire.Truncated, "option",
+                     "option value runs past end of input")
+_PLEN_CUT = (wire.Truncated, "payload",
+             "payload length field runs past end of input")
+
+DECODE_EDGES = {
+    "section-1024": (_frame(*_SECTION_1024), None),
+    "one-option-section-1024": (_frame((1, b"x" * 1021)), None),
+    "section-1025": (_frame(*_SECTION_1025), _OVERSIZED),
+    "one-option-section-1025": (_frame((1, b"x" * 1022)), _OVERSIZED),
+    "section-1025-at-input-end": (_frame(*_SECTION_1025)[:-2], _OVERSIZED),
+    "option-value-cut": (_frame((1, b"abc"), payload=b"p")[:13],
+                         _OPTION_VALUE_CUT),
+    # the value runs past the input and past the limit: truncation wins
+    "overrun-and-oversized": (
+        _frame((1, b"x" * 1030))[:1000], _OPTION_VALUE_CUT),
+    "overrun-and-oversized-second": (
+        _frame((1, b""), (2, b"y" * 2000))[:20], _OPTION_VALUE_CUT),
+    "option-head-cut-0": (_frame((1, b""), (2, b""))[:12], _OPTION_HEAD_CUT),
+    "option-head-cut-1": (_frame((1, b""), (2, b""))[:13], _OPTION_HEAD_CUT),
+    "option-head-cut-2": (_frame((1, b""), (2, b""))[:14], _OPTION_HEAD_CUT),
+    "option-head-cut-past-limit": (
+        _frame(*_SECTION_1024, (3, b""))[:9 + 1024 + 2], _OPTION_HEAD_CUT),
+    "payload-length-cut-0": (_frame((1, b""))[:12], _PLEN_CUT),
+    "payload-length-cut-1": (_frame((1, b""))[:13], _PLEN_CUT),
+    "payload-length-cut-after-section-1024": (
+        _frame(*_SECTION_1024)[:9 + 1024 + 1], _PLEN_CUT),
+    "payload-cut": (_frame(payload=b"abc")[:13], (
+        wire.Truncated, "payload", "payload runs past end of input")),
+    "trailing-bytes": (_frame((1, b"v"), payload=b"p") + b"\x00\x01", (
+        wire.LengthMismatch, "payload", "2 trailing bytes after message end")),
+    "trailing-bytes-no-options": (_frame() + b"\x07", (
+        wire.LengthMismatch, "payload", "1 trailing bytes after message end")),
+    "version-before-truncation": (_frame((1, b"x" * 50), b0=0x20)[:20], (
+        wire.BadVersion, "header", "version 2, expected 1")),
+    "short-before-version": (bytes([0x20] * 10), (
+        wire.Truncated, "header", "10 bytes, minimum message is 11")),
+}
+
+
+@pytest.mark.parametrize("form", [bytes, bytearray, memoryview])
+@pytest.mark.parametrize("name", sorted(DECODE_EDGES))
+def test_decode_verdict_at_each_edge(name, form):
+    blob, expected = DECODE_EDGES[name]
+    got = _verdict(form(blob))
+    if expected is None:
+        assert type(got) is Message and encode(got) == blob
+        assert got.wire_size == len(blob)
+    else:
+        assert got == expected
+
+
+def _reference_decode(data) -> Message:
+    """decode, written plainly in the documented check order: every bound
+    checked on its own, the section summed, fields read by slicing."""
+    data = bytes(data)
+    n = len(data)
+    if n < wire.MIN_MESSAGE_SIZE:
+        raise wire.Truncated(f"{n} bytes, minimum message is 11")
+    if data[0] >> 4 != wire.PROTOCOL_VERSION:
+        raise wire.BadVersion(f"version {data[0] >> 4}, expected 1")
+    pos, section, options = 9, 0, []
+    for _ in range(data[8]):
+        if pos + 3 > n:
+            raise wire.Truncated(
+                "option header runs past end of input", "option")
+        code, vlen = data[pos], int.from_bytes(data[pos + 1:pos + 3], "big")
+        pos += 3
+        if pos + vlen > n:
+            raise wire.Truncated(
+                "option value runs past end of input", "option")
+        section += 3 + vlen
+        if section > wire.OPTIONS_LIMIT:
+            raise wire.OversizedOptions(
+                "options section exceeds 1024 bytes", "options-size")
+        options.append(Option(code, data[pos:pos + vlen]))
+        pos += vlen
+    if pos + 2 > n:
+        raise wire.Truncated(
+            "payload length field runs past end of input", "payload")
+    plen = int.from_bytes(data[pos:pos + 2], "big")
+    pos += 2
+    if pos + plen > n:
+        raise wire.Truncated("payload runs past end of input", "payload")
+    if pos + plen < n:
+        raise wire.LengthMismatch(
+            f"{n - pos - plen} trailing bytes after message end", "payload")
+    field = lambda i: int.from_bytes(data[i:i + 2], "big")  # noqa: E731
+    header = Header(Verb((data[0] >> 2) & 3), data[0] & 3, data[1],
+                    field(2), field(4), field(6))
+    return Message(header, options, data[pos:])
+
+
+@st.composite
+def _near_limit_frame(draw) -> bytes:
+    """Raw bytes whose options section is within a few bytes of the
+    limit, split over one to three options."""
+    k = draw(st.integers(1, 3))
+    total = draw(st.integers(wire.OPTIONS_LIMIT - 3, wire.OPTIONS_LIMIT + 3))
+    lengths = [draw(st.integers(0, (total - 3 * k) // k))
+               for _ in range(k - 1)]
+    lengths.append(total - 3 * k - sum(lengths))
+    return _frame(*((i, b"v" * n) for i, n in enumerate(lengths)),
+                  payload=draw(st.binary(max_size=4)))
+
+
+@st.composite
+def _decoder_inputs(draw):
+    blob = draw(st.binary(max_size=64) | message_st.map(encode)
+                | _near_limit_frame())
+    edit = draw(st.sampled_from(["none", "cut", "set", "extend"]))
+    if edit == "cut":
+        blob = blob[:draw(st.integers(0, len(blob)))]
+    elif edit == "set" and blob:
+        blob = _mutate(blob, draw(st.integers(0, len(blob) - 1)),
+                       draw(st.integers(0, 255)))
+    elif edit == "extend":
+        blob += draw(st.binary(min_size=1, max_size=4))
+    return draw(st.sampled_from([bytes, bytearray, memoryview]))(blob)
+
+
+@settings(max_examples=500)
+@given(_decoder_inputs())
+def test_decode_matches_the_reference_parser(data):
+    try:
+        expected = _reference_decode(data)
+    except WireError as e:
+        expected = (type(e), e.clause, str(e))
+    got = _verdict(data)
+    assert got == expected
+    if type(got) is Message:
+        assert got.wire_size == expected.wire_size == len(data)
+        assert type(got.payload) is bytes
+        assert all(type(o.value) is bytes for o in got.options)
+
+
 def test_option_helpers_roundtrip():
     assert wire.decode_u32(wire.opt_cid(0xDEADBEEF).value) == 0xDEADBEEF
     assert wire.opt_topic("alerts").value == b"alerts"
