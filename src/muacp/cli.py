@@ -192,8 +192,10 @@ def cmd_bench_codec(args, argv) -> int:
              min(sizes), max(sizes)]
         )
 
+    encoded = {name: [wire.encode(m) for m in msgs]
+               for name, msgs in groups.items()}
     pool = [m for msgs in groups.values() for m in msgs]
-    blobs = [wire.encode(m) for m in pool]
+    blobs = [b for bs in encoded.values() for b in bs]
     for m, b in zip(pool, blobs):
         if wire.decode(b) != m:
             raise AssertionError("codec roundtrip failure in benchmark pool")
@@ -207,7 +209,7 @@ def cmd_bench_codec(args, argv) -> int:
             name: {
                 "encode_us": _us_per_call(wire.encode, msgs, iterations),
                 "decode_us": _us_per_call(
-                    wire.decode, [wire.encode(m) for m in msgs], iterations),
+                    wire.decode, encoded[name], iterations),
             }
             for name, msgs in sorted(groups.items())
         },
@@ -247,12 +249,9 @@ def cmd_sim_consensus(args, argv) -> int:
     cfg = _load_config(args.config, CampaignConfig)
     if args.seeds is not None:
         cfg = replace(cfg, seeds=tuple(_parse_seeds(args.seeds, MAX_SEEDS)))
-    retry, delta = cfg.base.retry_timeout, cfg.base.sim.delta
-    if retry < 2 * delta:
-        print(f"warning: base.retry_timeout {retry} is below 2 * "
-              f"base.sim.delta {delta}, a post-stabilization round trip; "
-              f"attempts may restart before their promises arrive and "
-              f"never decide", file=sys.stderr)
+    note = cfg.base.retry_warning()
+    if note:
+        print(f"warning: in base, {note}", file=sys.stderr)
     runs, corpus = run_campaign(cfg, collect_corpus=True)
 
     rows = [run.row() for run in runs]

@@ -558,6 +558,19 @@ class DecreeConfig(schema.Config):
             retry_timeout=self.retry_timeout,
         )
 
+    def retry_warning(self) -> str | None:
+        """Why `retry_timeout` may be too short to decide, or None.
+
+        After stabilization each delay is 1..`sim.delta` ticks, so a round
+        trip takes at most `2 * sim.delta`; a shorter `retry_timeout` lets
+        an attempt restart before its slowest promises arrive.  Safety does
+        not depend on it, so the config stays valid."""
+        if self.retry_timeout >= 2 * self.sim.delta:
+            return None
+        return (f"retry_timeout {self.retry_timeout} is below 2 * sim.delta "
+                f"{self.sim.delta}, the worst-case post-stabilization round "
+                f"trip; an attempt may restart before its promises arrive")
+
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be at least 1")

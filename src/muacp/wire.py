@@ -180,12 +180,11 @@ class FieldRange(WireError):
 
 
 # The codec's bound pack and unpack methods.  One call packs the header
-# and option count, and one the 11 bytes of a message without options:
-# header, count and payload length.
+# and option count; one unpacks the 11 bytes every message starts with:
+# header, count and the next two bytes, the payload length of a message
+# without options.
 _pack_head = struct.Struct(">BBHHHB").pack
-_BARE = struct.Struct(">BBHHHBH")
-_pack_bare = _BARE.pack
-_unpack_bare = _BARE.unpack_from
+_unpack_start = struct.Struct(">BBHHHBH").unpack_from
 _OPTION_HEAD = struct.Struct(">BH")
 _pack_option_head = _OPTION_HEAD.pack
 _unpack_option_head = _OPTION_HEAD.unpack_from
@@ -409,8 +408,6 @@ def encode(msg: Message) -> bytes:
     """
     (verb, qos, flags, mid, seq, cid, version), options, payload, _ = msg
     b0 = (version << 4) | (verb << 2) | qos
-    if not options:
-        return _pack_bare(b0, flags, mid, seq, cid, 0, len(payload)) + payload
     parts = [_pack_head(b0, flags, mid, seq, cid, len(options))]
     append = parts.append
     for code, value in options:
@@ -437,7 +434,7 @@ def decode(data: bytes) -> Message:
         raise Truncated(f"{n} bytes, minimum message is {MIN_MESSAGE_SIZE}")
     # Every input this long holds the header, the count and two more
     # bytes: the payload length when there are no options.
-    b0, flags, mid, seq, cid, count, plen = _unpack_bare(data)
+    b0, flags, mid, seq, cid, count, plen = _unpack_start(data)
     version = b0 >> 4
     if version != PROTOCOL_VERSION:
         raise BadVersion(f"version {version}, expected {PROTOCOL_VERSION}")

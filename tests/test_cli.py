@@ -136,13 +136,6 @@ def test_sim_consensus_shipped_configs_do_not_warn(tmp_path, capsys, config):
     assert capsys.readouterr().err == ""
 
 
-def test_sim_consensus_retry_of_one_round_trip_does_not_warn(
-        tmp_path, capsys):
-    cfg = _consensus_with_retry(tmp_path, 10)
-    assert main(["sim-consensus", "--config", str(cfg), "--seeds", "0:1"]) == 0
-    assert capsys.readouterr().err == ""
-
-
 def test_check_traces_pass_and_fail(tmp_path):
     ok = main(["check-traces", str(ROOT / "protocols" / "inform.json"),
                "--out", str(tmp_path / "a")])

@@ -446,6 +446,20 @@ def test_decree_with_crashes_and_duplicates_is_unchanged(node_class):
     assert hashlib.sha256(out.encode()).hexdigest() == DECREE_LOG_SHA256
 
 
+@pytest.mark.parametrize("retry, delta, warns", [
+    (9, 5, True), (10, 5, False), (30, 5, False), (1, 1, True), (2, 1, False)])
+def test_retry_warning_marks_a_timeout_below_the_worst_round_trip(
+        retry, delta, warns):
+    cfg = DecreeConfig(retry_timeout=retry,
+                       sim=SimConfig(delta=delta))
+    note = cfg.retry_warning()
+    if warns:
+        assert f"retry_timeout {retry} " in note
+        assert f"sim.delta {delta}," in note
+    else:
+        assert note is None
+
+
 def test_campaign_config_seed_range_form():
     base = DecreeConfig(n=3, sim=lossless_sim())
     obj = {
