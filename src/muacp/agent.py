@@ -43,7 +43,6 @@ from .resources import (
     BudgetLedger,
     CostModel,
     InfeasibleCharge,
-    JournalEntry,
     ResourceBudget,
     UNBOUNDED,
 )
@@ -97,9 +96,6 @@ class Literal(NamedTuple):
     def text(self) -> str:
         return self.atom if self.positive else "!" + self.atom
 
-    def negate(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
 
 def parse_literal(text: str) -> Literal:
     text = text.strip()
@@ -125,10 +121,6 @@ class TransitionLabel(NamedTuple("TransitionLabel", [
         if sender == receiver:
             raise ValueError("label sender equals receiver")
         return _new(cls, (sender, receiver, message))
-
-    @property
-    def channel(self) -> tuple[int, int]:
-        return (self.sender, self.receiver)
 
 
 @dataclass
@@ -165,7 +157,6 @@ class Agent:
         h_cap: int = DEFAULT_HISTORY_CAP,
         ask_timeout: int = 50,
         retransmit_interval: int = 8,
-        journal: bool = False,
     ):
         if h_cap < 1:
             raise ValueError("history capacity must be at least 1")
@@ -187,8 +178,6 @@ class Agent:
         self.timeouts: list[tuple[int, int, str]] = []
         self.answers: list[tuple[int, Message]] = []
         self.infeasible_count = 0
-
-        self.journal: list[JournalEntry] | None = [] if journal else None
 
         self._next_mid = 1
         self._next_seq = 1
@@ -312,16 +301,13 @@ class Agent:
         """The budget's limit and what remains of it, built on demand."""
         return self._ledger.budget
 
-    def _charge(self, msg: Message, kind: str, now: int) -> None:
+    def _charge(self, msg: Message) -> None:
         try:
             self._ledger.charge(msg.wire_size)
         except InfeasibleCharge as e:
             self.infeasible_count += 1
             # str() of the Infeasible is str(e), built only when read.
             raise Infeasible(e) from e
-        if self.journal is not None:
-            self.journal.append(
-                JournalEntry(now, kind, self.model.cost_of(msg)))
 
     def _remember(self, now: int, direction: str, size: int) -> None:
         history = self.history
@@ -329,11 +315,7 @@ class Agent:
         history.append(_new(HistoryEntry, (now, direction, size)))
         # One entry in, so at most one out: the ring is never over cap.
         if len(history) > self.h_cap:
-            evicted = history.popleft()
-            self._ledger.refund(evicted.size)
-            if self.journal is not None:
-                self.journal.append(JournalEntry(
-                    now, "refund", self.model.buffer_memory(evicted.size)))
+            self._ledger.refund(history.popleft().size)
 
     # -- transitions -----------------------------------------------------
 
@@ -348,7 +330,7 @@ class Agent:
         """
         if to == self.id:
             raise ValueError("use local handling for self-addressed messages")
-        self._charge(msg, "send", now)
+        self._charge(msg)
         self._remember(now, "out", msg.wire_size)
         h = msg.header
         if fresh:
@@ -377,7 +359,7 @@ class Agent:
         """Apply one inbound message.  Returns reply messages as
         (destination, message) pairs; the caller is responsible for
         sending them (each reply is charged at its own send)."""
-        self._charge(msg, "receive", now)
+        self._charge(msg)
         self._remember(now, "in", msg.wire_size)
         h = msg.header
         response = h.flags & FLAG_RESPONSE
@@ -548,12 +530,3 @@ class Agent:
         lit = parse_literal(literal_text)  # once, and only for a subscriber
         return [(peer, self._tell(lit, cid, qos, topic=topic))
                 for peer in subs]
-
-    # -- introspection ----------------------------------------------------
-
-    def memory_level(self):
-        """Currently held buffer memory according to the model."""
-        total = 0
-        for entry in self.history:
-            total += entry.size
-        return self.model.buffer_memory(total).memory

@@ -248,7 +248,11 @@ def cmd_sim_consensus(args, argv) -> int:
 
     cfg = _load_config(args.config, CampaignConfig)
     if args.seeds is not None:
-        cfg = replace(cfg, seeds=tuple(_parse_seeds(args.seeds, MAX_SEEDS)))
+        seeds = tuple(_parse_seeds(args.seeds, MAX_SEEDS))
+        try:
+            cfg = replace(cfg, seeds=seeds)
+        except ValueError as e:
+            raise UsageError(f"--seeds: {e}") from e
     note = cfg.base.retry_warning()
     if note:
         print(f"warning: in base, {note}", file=sys.stderr)

@@ -34,12 +34,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
 
 from .schema import Config
-from .wire import K_MAX, Message, Verb, decode, encoded_size, profile_faults
+from .wire import K_MAX, Message, Verb, encoded_size, profile_faults
 
 #: Fixed per-message framing the theoretical encoder pays: the 64-bit
 #: header plus the option-count and payload-length fields (8 + 16 bits).
@@ -131,18 +130,6 @@ class MessageDistribution(Config):
             ]
         )
 
-    @classmethod
-    def from_messages(cls, messages) -> "MessageDistribution":
-        counts: dict[tuple, int] = {}
-        for m in messages:
-            key = symbol_of(m)
-            counts[key] = counts.get(key, 0) + 1
-        return cls.from_counts(counts)
-
-    @classmethod
-    def from_wire_corpus(cls, blobs) -> "MessageDistribution":
-        return cls.from_messages(decode(b) for b in blobs)
-
 
 def symbol_of(m: Message) -> tuple:
     return (
@@ -210,12 +197,6 @@ def _entropy(contexts: dict) -> EntropyReport:
     return EntropyReport(h_v, h_o, h_p)
 
 
-def joint_entropy(dist: MessageDistribution) -> float:
-    """Entropy of the full joint distribution; equals the chain-rule
-    total up to floating point, which the tests pin down."""
-    return _h(e.prob for e in dist.entries)
-
-
 # -- Huffman coding -----------------------------------------------------------
 
 
@@ -224,13 +205,6 @@ class HuffmanTable:
     codewords: dict
     expected_length: float
     entropy: float
-
-    @property
-    def kraft_sum(self) -> Fraction:
-        return sum(
-            (Fraction(1, 2 ** len(w)) for w in self.codewords.values()),
-            Fraction(0),
-        )
 
 
 def huffman(weights: dict) -> HuffmanTable:

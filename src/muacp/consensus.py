@@ -222,20 +222,6 @@ class FailureDetector:
             )
 
 
-def suspicion_bound(
-    crash_tick: int,
-    ping_interval: int,
-    timeout: int,
-    delivery_bound: int,
-) -> int:
-    """Latest tick by which a correct detector must suspect a peer that
-    crashed at crash_tick: one last in-flight pong may land as late as
-    crash+delivery_bound, the next probe goes out within ping_interval,
-    and that probe times out after `timeout` (plus one tick of loop
-    granularity)."""
-    return crash_tick + delivery_bound + ping_interval + timeout + 1
-
-
 # -- consensus rules ---------------------------------------------------------
 #
 # The rules are plain functions (config, state, input) -> (state, sent)
@@ -677,6 +663,8 @@ class CampaignConfig(schema.Config):
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ValueError("a campaign needs at least one seed")
+        for seed in self.seeds:
+            SimConfig.check_seed(seed)
         if self.crash_count < 0:
             raise ValueError("crash_count must not be negative")
         if not 0 <= self.crash_window[0] <= self.crash_window[1]:

@@ -42,7 +42,7 @@ with consistent conversation ids.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import wire
@@ -184,15 +184,6 @@ def translate(action: PerformativeAction, cid: int) -> Message:
                         payload=payload)
 
 
-def mutated_translate(action: PerformativeAction, cid: int) -> Message:
-    """A deliberately wrong translation: a REQUEST is translated as an
-    INFORM, losing its action content.  Exists so the checker's ability
-    to reject bad translations is itself testable."""
-    if action.performative is Performative.REQUEST:
-        action = replace(action, performative=Performative.INFORM)
-    return translate(action, cid)
-
-
 @dataclass(frozen=True)
 class ProjectedEvent:
     """A delivered message lifted back to the performative level."""
@@ -329,43 +320,6 @@ class ConversationAutomaton(Config):
                     ok.add(e.frm)
                     changed = True
         return ok
-
-    def product(self, other: "ConversationAutomaton") -> "ConversationAutomaton":
-        """Asynchronous interleaving of two protocols.  Conversations
-        are relabeled per side so the two instances stay distinct."""
-        def relabel(e: Edge, tag: str, frm: str, to: str) -> Edge:
-            return replace(
-                e, conversation=f"{tag}.{e.conversation}", frm=frm, to=to
-            )
-
-        states = tuple(
-            f"{a}|{b}" for a in self.states for b in other.states
-        )
-        edges = []
-        for a in self.states:
-            for b in other.states:
-                for e in self.outgoing(a):
-                    edges.append(relabel(e, "L", f"{a}|{b}", f"{e.to}|{b}"))
-                for e in other.outgoing(b):
-                    edges.append(relabel(e, "R", f"{a}|{b}", f"{a}|{e.to}"))
-        knowledge: dict[str, tuple[str, ...]] = {}
-        for src in (self.knowledge, other.knowledge):
-            for role, lits in src.items():
-                knowledge[role] = tuple(
-                    dict.fromkeys(knowledge.get(role, ()) + tuple(lits))
-                )
-        return ConversationAutomaton(
-            name=f"{self.name}*{other.name}",
-            roles=tuple(sorted(set(self.roles) | set(other.roles))),
-            states=states,
-            initial=f"{self.initial}|{other.initial}",
-            accepting=tuple(
-                f"{a}|{b}" for a in self.accepting for b in other.accepting
-            ),
-            edges=tuple(edges),
-            nesting_depth=self.nesting_depth + other.nesting_depth,
-            knowledge=knowledge,
-        )
 
 
 def enumerate_traces(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
 
 from .schema import Config
 
@@ -87,10 +86,6 @@ class ResourceVector:
     ) -> "ResourceVector":
         return cls(_frac(memory), _frac(bandwidth), _frac(cpu), _frac(energy))
 
-    @classmethod
-    def zero(cls) -> "ResourceVector":
-        return _ZERO
-
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(
             self.memory + other.memory,
@@ -123,9 +118,6 @@ class ResourceVector:
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.memory, self.bandwidth, self.cpu, self.energy)
-
-
-_ZERO = ResourceVector()
 
 
 @dataclass(frozen=True)
@@ -309,101 +301,3 @@ class BudgetLedger:
             if memory > self.memory_limit:
                 raise ResourceError("refund exceeds amount spent")
             self.memory = memory
-
-
-@dataclass(frozen=True)
-class JournalEntry:
-    """One accounting event: a charge or a refund at a point in time."""
-
-    time: int
-    kind: str  # "send" | "receive" | "refund"
-    amount: ResourceVector
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    """Result of checking a journal against per-horizon limits."""
-
-    horizon: int
-    totals: dict          # dimension -> float total consumed
-    peak_memory: float
-    peak_rate: int        # max send charges in any single time unit
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def cumulative_bound_check(
-    journal: Iterable[JournalEntry],
-    *,
-    horizon: int,
-    bandwidth_per_unit: Rational,
-    cpu_per_unit: Rational,
-    energy_per_unit: Rational,
-    memory_cap: Rational,
-    rate_cap: int | None = None,
-) -> BoundCheckReport:
-    """Check a charge/refund journal against linear-in-time limits.
-
-    Over a horizon of T time units, cumulative bandwidth must stay
-    within bandwidth_per_unit * T (likewise cpu and energy), the
-    running memory level must never exceed memory_cap, and no single
-    time unit may contain more than rate_cap send charges.
-    """
-    entries = sorted(journal, key=lambda e: e.time)
-    if entries and entries[-1].time > horizon:
-        raise ValueError("journal entry beyond the stated horizon")
-    t = horizon
-    bw_limit = _frac(bandwidth_per_unit) * t
-    cpu_limit = _frac(cpu_per_unit) * t
-    en_limit = _frac(energy_per_unit) * t
-    mem_cap = _frac(memory_cap)
-
-    bw = cpu = en = Fraction(0)
-    mem = Fraction(0)
-    peak_mem = Fraction(0)
-    violations: list[str] = []
-    sends_per_unit: dict[int, int] = {}
-    for e in entries:
-        if e.kind == "refund":
-            mem -= e.amount.memory
-            if mem < 0:
-                violations.append(
-                    f"t={e.time}: memory level went negative ({mem})"
-                )
-                mem = Fraction(0)
-            continue
-        mem += e.amount.memory
-        bw += e.amount.bandwidth
-        cpu += e.amount.cpu
-        en += e.amount.energy
-        peak_mem = max(peak_mem, mem)
-        if e.kind == "send":
-            sends_per_unit[e.time] = sends_per_unit.get(e.time, 0) + 1
-        if mem > mem_cap:
-            violations.append(f"t={e.time}: memory {mem} exceeds {mem_cap}")
-
-    if bw > bw_limit:
-        violations.append(f"bandwidth {bw} exceeds {bw_limit} over T={t}")
-    if cpu > cpu_limit:
-        violations.append(f"cpu {cpu} exceeds {cpu_limit} over T={t}")
-    if en > en_limit:
-        violations.append(f"energy {en} exceeds {en_limit} over T={t}")
-    peak_rate = max(sends_per_unit.values(), default=0)
-    if rate_cap is not None and peak_rate > rate_cap:
-        violations.append(f"send rate {peak_rate} exceeds cap {rate_cap}")
-
-    return BoundCheckReport(
-        horizon=horizon,
-        totals={
-            "memory": float(peak_mem),
-            "bandwidth": float(bw),
-            "cpu": float(cpu),
-            "energy": float(en),
-        },
-        peak_memory=float(peak_mem),
-        peak_rate=peak_rate,
-        violations=tuple(violations),
-    )

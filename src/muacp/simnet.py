@@ -81,6 +81,7 @@ class SimConfig(Config):
     fault_schedule: tuple[tuple[int, int], ...] = ()  # (agent_id, tick)
 
     def __post_init__(self) -> None:
+        self.check_seed(self.seed)
         if self.delay_min < 1 or self.delay_max < self.delay_min:
             raise ValueError("need 1 <= delay_min <= delay_max")
         if self.delta < 1:
@@ -93,6 +94,13 @@ class SimConfig(Config):
             raise ValueError("dup_rate must be in [0, 1]")
         if self.max_consecutive_drops < 1:
             raise ValueError("max_consecutive_drops must be at least 1")
+
+    @staticmethod
+    def check_seed(seed: int) -> None:
+        """`random.Random(n)` seeds from `abs(n)`, so a negative seed
+        would silently repeat the run of its positive twin."""
+        if seed < 0:
+            raise ValueError(f"seed must not be negative, got {seed}")
 
 
 class EventRecord(NamedTuple):

@@ -373,9 +373,6 @@ class Message(NamedTuple("Message", [
                 return opt
         return None
 
-    def find_all(self, code: int) -> tuple[Option, ...]:
-        return tuple(o for o in self.options if o.code == code)
-
     def has(self, code: int) -> bool:
         return self.find(code) is not None
 

@@ -18,7 +18,6 @@ from muacp.agent import (
 from muacp.resources import (
     CostModel,
     InfeasibleCharge,
-    JournalEntry,
     ResourceBudget,
     ResourceVector,
 )
@@ -48,7 +47,8 @@ def test_parse_literal_signs():
 def test_literal_text_roundtrip(atom, positive):
     lit = Literal(atom, positive)
     assert parse_literal(lit.text()) == lit
-    assert lit == (atom, positive) and lit.negate() == (atom, not positive)
+    assert lit == (atom, positive)
+    assert parse_literal("!" + lit.text()) == (atom, not positive)
 
 
 def test_literals_round_trip_through_tell_and_ask():
@@ -335,7 +335,7 @@ def test_history_ring_evicts_and_refunds():
         a.send(a.make_ping(), to=2, now=t)
     assert len(a.history) == 4
     # only the live window is charged: 4 pings of 11 bytes
-    assert a.memory_level() == 44
+    assert MEM_MODEL.buffer_per_byte * sum(e.size for e in a.history) == 44
     assert a.budget.spent.memory == 44
 
 
@@ -362,7 +362,7 @@ def test_small_ring_keeps_memory_flat_forever():
     )
     for t in range(200):
         a.send(a.make_ping(), to=2, now=t)
-    assert a.memory_level() == 55
+    assert a.model.buffer_per_byte * sum(e.size for e in a.history) == 55
 
 
 # -- the budget under a fractional model ----------------------------------------
@@ -372,7 +372,7 @@ FRACTIONAL = CostModel(per_byte_bandwidth="2/3", per_message_cpu="5/7",
 
 
 def _snapshot(a):
-    return a.budget, list(a.history), list(a.journal)
+    return a.budget, list(a.history)
 
 
 def _refusal_text(budget, model, size):
@@ -382,11 +382,11 @@ def _refusal_text(budget, model, size):
     return str(e.value)
 
 
-def _short_of_cpu(**kwargs):
+def _short_of_cpu():
     # cpu "12/5" pays for one 11-byte ping (5/7 + 11/11) but not a second
     limit = ResourceVector.of(1000, 1000, "12/5", 1)
     a = Agent(1, budget=ResourceBudget.full(limit), model=FRACTIONAL,
-              h_cap=1, **kwargs)
+              h_cap=1)
     a.send(a.make_ping(), to=2, now=0)
     return a
 
@@ -394,7 +394,7 @@ def _short_of_cpu(**kwargs):
 def test_refused_send_and_receive_leave_the_agent_unchanged():
     from muacp.agent import Infeasible
 
-    a = _short_of_cpu(journal=True)
+    a = _short_of_cpu()
     before = _snapshot(a)
     want = _refusal_text(a.budget, FRACTIONAL, 11)
     with pytest.raises(Infeasible) as e:
@@ -432,31 +432,26 @@ def test_refused_send_and_receive_build_no_fraction_or_vector(monkeypatch):
     assert texts == [want, want] and a.infeasible_count == 2
 
 
-def test_journal_records_the_exact_cost_of_every_transition():
+def test_budget_is_the_exact_fold_of_every_transition():
     limit = ResourceVector.of(1000, 10**6, 10**6, 1)
     a = Agent(1, budget=ResourceBudget.full(limit), model=FRACTIONAL,
-              h_cap=2, journal=True)
+              h_cap=2)
     tell, ping, ask = a.make_tell("p"), Agent(2).make_ping(), a.make_ask("p")
-    a.send(tell, to=2, now=0)
-    a.receive(ping, 2, now=1)
-    a.send(ask, to=2, now=3)                 # evicts the tell
     cost = FRACTIONAL.cost_of
-    assert a.journal == [
-        JournalEntry(0, "send", cost(tell)),
-        JournalEntry(1, "receive", cost(ping)),
-        JournalEntry(3, "send", cost(ask)),
-        JournalEntry(3, "refund", FRACTIONAL.buffer_memory(tell.wire_size)),
-    ]
-    assert a.journal[0].amount.cpu == Fraction(5, 7) + Fraction(
-        tell.wire_size, 11)
-    # the budget is the exact fold of the journal over its limit
-    expected = ResourceBudget.full(limit)
-    for e in a.journal:
-        if e.kind == "refund":
-            expected = expected.refund(e.amount)
-        else:
-            expected = expected.charge(e.amount)
+    # after each transition the budget is the exact reference fold
+    expected = ResourceBudget.full(limit).charge(cost(tell))
+    a.send(tell, to=2, now=0)
     assert a.budget == expected
+    assert a.budget.spent.cpu == Fraction(5, 7) + Fraction(
+        tell.wire_size, 11)
+    expected = expected.charge(cost(ping))
+    a.receive(ping, 2, now=1)
+    assert a.budget == expected
+    (evicted,) = [e for e in a.history if e.time == 0]
+    expected = expected.charge(cost(ask)).refund(
+        FRACTIONAL.buffer_memory(evicted.size))
+    a.send(ask, to=2, now=3)                 # evicts the tell
+    assert evicted not in a.history and a.budget == expected
 
 
 @pytest.mark.parametrize("model", [CostModel(), MEM_MODEL, FRACTIONAL])
@@ -486,7 +481,7 @@ def test_send_produces_transition_label():
     a = Agent(1)
     label = a.send(a.make_ping(), to=2, now=0)
     assert isinstance(label, TransitionLabel)
-    assert label.channel == (1, 2)
+    assert (label.sender, label.receiver) == (1, 2)
 
 
 def test_self_loop_labels_rejected():

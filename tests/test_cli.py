@@ -315,6 +315,10 @@ CONSENSUS_REPROS = {
     "negative_crash_count": (_set("crash_count", -1),
                              "crash_count must not be negative"),
     "no_seeds": (_set("seed_count", 0), "a campaign needs at least one seed"),
+    "negative_seed_base": (_set("seed_base", -1),
+                           "seed must not be negative, got -1"),
+    "negative_sim_seed": (_set("base", "sim", "seed", -1),
+                          "base.sim: seed must not be negative, got -1"),
     "short_fault_entry": (
         _set("base", "sim", "fault_schedule", [[1]]),
         "base.sim.fault_schedule[0]: expected 2 items, got 1",
@@ -374,6 +378,8 @@ def test_malformed_consensus_config_exits_2(tmp_path, capsys, case):
                    id=f"{name}--1")
       for name in ("committee", "cnet_initiators", "proposal_wait",
                    "round_pause", "drain")),
+    pytest.param(_set("sim", "seed", -1),
+                 "sim: seed must not be negative, got -1", id="sim.seed--1"),
 ])
 def test_malformed_scale_config_exits_2(tmp_path, capsys, edit, expected):
     p = small_scale_config(tmp_path)
@@ -388,6 +394,16 @@ def test_bad_seeds_spec_exits_2(tmp_path, capsys, spec):
     cfg = small_consensus_config(tmp_path)
     rc = main(["sim-consensus", "--config", str(cfg), "--seeds", spec])
     _assert_usage_error(rc, capsys, "--seeds")
+
+
+@pytest.mark.parametrize("spec", ["-1:3", "2,-1"])
+def test_a_negative_seed_exits_2(tmp_path, capsys, spec):
+    # random.Random(-1) seeds like Random(1): seed -1 would silently
+    # rerun seed 1 and report the pair as two runs.
+    cfg = small_consensus_config(tmp_path)
+    rc = main(["sim-consensus", "--config", str(cfg), f"--seeds={spec}"])
+    _assert_usage_error(rc, capsys,
+                        "--seeds: seed must not be negative, got -1")
 
 
 @pytest.mark.parametrize("where", ["--seeds", "seed_count"])

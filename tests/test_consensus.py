@@ -32,11 +32,11 @@ from muacp.consensus import (
     run_decree,
     start_attempt,
     step,
-    suspicion_bound,
 )
 from muacp.schema import ConfigError
 from muacp.simnet import Network, SimConfig
 from muacp.wire import FLAG_RESPONSE, Verb
+from oracles import suspicion_bound
 
 
 def lossless_sim(seed=0, **kw):

@@ -17,12 +17,12 @@ from muacp.fipa import (
     check_trace_inclusion,
     content_of,
     enumerate_traces,
-    mutated_translate,
     procedural_bound_check,
     project,
     translate,
 )
 from muacp.wire import CONTENT_ACTION, CONTENT_LITERAL, OptionType, Verb
+from oracles import mutated_translate
 
 
 def act(p, content="c", **kw):
@@ -240,17 +240,6 @@ def test_accepting_runs_end_in_accepting_states():
     accepting = set(auto.accepting)
     assert runs and all(r[-1].to in accepting for r in runs)
     assert all(r[0].frm == auto.initial for r in runs)
-
-
-def test_product_relabels_conversations():
-    left = chain("l", act(Performative.INFORM, "p"))
-    right = chain("r", act(Performative.INFORM, "q"))
-    prod = left.product(right)
-    convs = {e.conversation for e in prod.edges}
-    assert convs == {"L.main", "R.main"}
-    assert prod.nesting_depth == 2
-    # both interleavings of the two informs plus their one-step prefixes
-    assert len(enumerate_traces(prod, max_len=4)) == 4
 
 
 def test_json_roundtrip(tmp_path):

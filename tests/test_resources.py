@@ -1,4 +1,4 @@
-"""Exact accounting: vectors, budgets, cost models, journal bounds."""
+"""Exact accounting: vectors, budgets, ledgers, cost models."""
 
 from fractions import Fraction
 
@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 
 from muacp import resources, wire
 from muacp.resources import (
-    BoundCheckReport,
     BudgetLedger,
     CostModel,
     InfeasibleCharge,
-    JournalEntry,
     NegativeResource,
     ResourceBudget,
     ResourceError,
     ResourceVector,
-    cumulative_bound_check,
 )
 
 
@@ -90,10 +87,10 @@ vec_st = st.builds(ResourceVector.of, small, small, small, small)
 
 @given(st.lists(vec_st, max_size=30))
 def test_sum_is_permutation_invariant(vs):
-    total = ResourceVector.zero()
+    total = ResourceVector()
     for v in vs:
         total = total + v
-    rev = ResourceVector.zero()
+    rev = ResourceVector()
     for v in reversed(vs):
         rev = rev + v
     assert total == rev
@@ -109,7 +106,7 @@ def test_remaining_never_negative_under_feasible_charges(vs):
         else:
             with pytest.raises(InfeasibleCharge):
                 b.charge(v)
-        assert b.remaining >= ResourceVector.zero()
+        assert b.remaining >= ResourceVector()
         assert b.spent + b.remaining == b.limit
 
 
@@ -190,76 +187,3 @@ def test_refused_ledger_charge_builds_its_text_from_integers(
         got = (type(e.value), str(e.value))
     assert got == want
     assert ledger.budget == budget
-
-
-# -- journal bound checking -----------------------------------------------------
-
-
-def _send(t, bw):
-    return JournalEntry(t, "send", ResourceVector.of(0, bw, 0, 0))
-
-
-def _mem(t, kind, amount):
-    return JournalEntry(t, kind, ResourceVector.of(amount, 0, 0, 0))
-
-
-def test_bound_check_accepts_compliant_journal():
-    journal = [_send(t, 10) for t in range(10)]
-    rep = cumulative_bound_check(
-        journal, horizon=10, bandwidth_per_unit=10, cpu_per_unit=1,
-        energy_per_unit=1, memory_cap=100,
-    )
-    assert isinstance(rep, BoundCheckReport)
-    assert rep.ok
-    assert rep.totals["bandwidth"] == 100.0
-
-
-def test_bound_check_flags_bandwidth_overrun():
-    rep = cumulative_bound_check(
-        [_send(0, 11)], horizon=1, bandwidth_per_unit=10, cpu_per_unit=1,
-        energy_per_unit=1, memory_cap=100,
-    )
-    assert not rep.ok
-    assert any("bandwidth" in v for v in rep.violations)
-
-
-def test_bound_check_tracks_memory_level_with_refunds():
-    journal = [
-        _mem(0, "receive", 60),
-        _mem(1, "refund", 60),
-        _mem(2, "receive", 60),
-    ]
-    rep = cumulative_bound_check(
-        journal, horizon=3, bandwidth_per_unit=1, cpu_per_unit=1,
-        energy_per_unit=1, memory_cap=80,
-    )
-    assert rep.ok and rep.peak_memory == 60.0
-    # without the refund the level would hit 120 and blow the cap
-    rep2 = cumulative_bound_check(
-        [j for j in journal if j.kind != "refund"],
-        horizon=3, bandwidth_per_unit=1, cpu_per_unit=1,
-        energy_per_unit=1, memory_cap=80,
-    )
-    assert not rep2.ok
-
-
-def test_bound_check_rate_cap():
-    journal = [_send(5, 1), _send(5, 1), _send(5, 1)]
-    rep = cumulative_bound_check(
-        journal, horizon=10, bandwidth_per_unit=10, cpu_per_unit=1,
-        energy_per_unit=1, memory_cap=10, rate_cap=2,
-    )
-    assert not rep.ok and rep.peak_rate == 3
-
-
-def test_agent_journal_satisfies_bounds():
-    from muacp.agent import Agent
-
-    a = Agent(1, journal=True)
-    for t in range(50):
-        a.send(a.make_tell(f"v({t})"), to=2, now=t)
-    rep = cumulative_bound_check(
-        a.journal, horizon=50, bandwidth_per_unit=100, cpu_per_unit=100,
-        energy_per_unit=100, memory_cap=10**6, rate_cap=1,
-    )
-    assert rep.ok
