@@ -97,6 +97,11 @@ class Literal(NamedTuple):
         return self.atom if self.positive else "!" + self.atom
 
 
+def done(action: str) -> Literal:
+    """The fact an agent asserts, and answers, for an action ask."""
+    return Literal(f"done({action})")
+
+
 def parse_literal(text: str) -> Literal:
     text = text.strip()
     positive = True
@@ -179,8 +184,8 @@ class Agent:
         self.answers: list[tuple[int, Message]] = []
         self.infeasible_count = 0
 
-        self._next_mid = 1
-        self._next_seq = 1
+        # Each message's id, which is also its sequence number.
+        self._next_id = 1
         self._next_cid = (agent_id & 0xFF) << 8 | 1
 
     # -- knowledge base ------------------------------------------------
@@ -215,31 +220,24 @@ class Agent:
     ) -> Message:
         if cid is None:
             cid = self.fresh_cid()
-        mid = self._next_mid & 0xFFFF
-        seq = self._next_seq & 0xFFFF
-        self._next_mid += 1
-        self._next_seq += 1
+        mid = self._next_id & 0xFFFF
+        self._next_id += 1
         return wire.message(
             verb,
             qos=qos,
             flags=flags,
             message_id=mid,
-            sequence=seq,
+            sequence=mid,
             correlation_id=cid,
             options=options,
             payload=payload,
         )
 
-    def restamp(self, msg: Message, *, cid: int | None = None) -> Message:
-        """Rebuild a template message with this agent's fresh header ids."""
-        return self.build(
-            msg.header.verb,
-            options=msg.options,
-            payload=msg.payload,
-            qos=msg.header.qos,
-            flags=msg.header.flags,
-            cid=msg.header.correlation_id if cid is None else cid,
-        )
+    def restamp(self, msg: Message) -> Message:
+        """A template message under this agent's next message id."""
+        h = msg.header
+        return self.build(h.verb, options=msg.options, payload=msg.payload,
+                          qos=h.qos, flags=h.flags, cid=h.correlation_id)
 
     def make_ping(self, *, cid: int | None = None, qos: int = 0) -> Message:
         return self.build(_PING, qos=qos, cid=cid)
@@ -448,9 +446,9 @@ class Agent:
                 action = msg.payload.decode()
                 if not action:
                     raise BadContent("empty action")
-                done = parse_literal(f"done({action})")
-                reply = self._tell(done, h.correlation_id, response=True)
-                self.kb_insert(done)
+                fact = done(action)
+                reply = self._tell(fact, h.correlation_id, response=True)
+                self.kb_insert(fact)
                 return [(sender, reply)]
             raise BadContent(f"unknown content type {ct.value.hex()}")
 

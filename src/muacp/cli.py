@@ -9,7 +9,9 @@
 
 Exit codes: 0 success, 1 a check or simulation found a violation,
 2 unusable input (missing file, malformed JSON or input file, bad
---seeds, a protocol whose traces outgrow the enumeration cap).  Every
+--seeds, a protocol whose traces outgrow the enumeration cap), as is a
+negative seed anywhere (random.Random(-n) would rerun seed n), a
+campaign seed named twice, and --iterations or --max-len below 1.  Every
 input file, be it a config, protocol, distribution or vector sidecar,
 is read by the typed reader in schema.py, and its errors name the
 field path.
@@ -17,7 +19,9 @@ field path.
 Every command that takes --out writes a manifest.json naming the run's
 inputs, seeds, and outputs.  The manifest (and bench-codec's
 timing.json) contain wall-clock data; every other output file is a
-pure function of config and seed, byte for byte.
+pure function of config and seed, byte for byte.  sim-consensus
+--log-first writes the first seed's event log, the only run's records
+its campaign keeps, so its memory does not grow with its seeds.
 
 The MUACP_TICK_MS environment variable, when set, overrides the config's
 tick_ms: how many milliseconds one simulation tick represents in
@@ -98,18 +102,18 @@ def _csv(path: str, header: list[str], rows: list[list]) -> None:
             fp.write(",".join("" if v is None else str(v) for v in row) + "\n")
 
 
-def _parse_seeds(spec: str, limit: int) -> list[int]:
-    """Accept '1,2,3' or 'start:count' naming at least one seed.  A
-    count above `limit` is refused before its list of seeds is built."""
+def _parse_seeds(spec: str) -> list[int]:
+    """Accept '1,2,3' or 'start:count' naming at least one seed; a
+    range is read as a campaign config's `seed_count` is."""
+    from .consensus import seed_range
+
     try:
         if ":" in spec:
-            start, count = map(int, spec.split(":", 1))
-            if count > limit:
-                raise UsageError(
-                    f"--seeds: at most {limit} seeds, got {count}")
-            seeds = list(range(start, start + count)) if count >= 0 else []
+            seeds = seed_range(*map(int, spec.split(":", 1)), "--seeds")
         else:
             seeds = [int(s) for s in spec.split(",") if s]
+    except ConfigError as e:
+        raise UsageError(str(e)) from e
     except ValueError:
         seeds = []
     if not seeds:
@@ -182,6 +186,10 @@ def cmd_bench_codec(args, argv) -> int:
     iterations = args.iterations
     if iterations < 1:
         raise UsageError(f"--iterations must be at least 1, got {iterations}")
+    try:
+        Config.check_seed(args.seed)
+    except ValueError as e:
+        raise UsageError(f"--seed: {e}") from e
     groups = _bench_messages(args.seed)
 
     size_rows = []
@@ -244,11 +252,11 @@ def cmd_bench_codec(args, argv) -> int:
 
 def cmd_sim_consensus(args, argv) -> int:
     from .compression import MessageDistribution
-    from .consensus import MAX_SEEDS, CampaignConfig, run_campaign
+    from .consensus import CampaignConfig, run_campaign
 
     cfg = _load_config(args.config, CampaignConfig)
     if args.seeds is not None:
-        seeds = tuple(_parse_seeds(args.seeds, MAX_SEEDS))
+        seeds = tuple(_parse_seeds(args.seeds))
         try:
             cfg = replace(cfg, seeds=seeds)
         except ValueError as e:
@@ -351,6 +359,8 @@ def cmd_check_traces(args, argv) -> int:
         procedural_bound_check,
     )
 
+    if args.max_len < 1:
+        raise UsageError(f"--max-len must be at least 1, got {args.max_len}")
     results = []
     ok = True
     for path in args.protocols:
@@ -487,17 +497,12 @@ def cmd_validate(args, argv) -> int:
         elif error_name is not None:
             failures.append(f"failed to decode: {error_name}")
         else:
-            checks = {
-                "verb": msg.header.verb.name,
-                "qos": msg.header.qos,
-                "flags": msg.header.flags,
-                "message_id": msg.header.message_id,
-                "sequence": msg.header.sequence,
-                "correlation_id": msg.header.correlation_id,
-                "payload_hex": msg.payload.hex(),
-                "options": [[o.code, o.value.hex()] for o in msg.options],
-                "size": msg.wire_size,
-            }
+            # The decoded message in the sidecar's JSON form.
+            checks = {**msg.header._asdict(), "verb": msg.header.verb.name,
+                      "payload_hex": msg.payload.hex(),
+                      "options": [[o.code, o.value.hex()]
+                                  for o in msg.options],
+                      "size": msg.wire_size}
             for key, expected in expect.to_json().items():
                 if (key in checks and expected is not None
                         and checks[key] != expected):

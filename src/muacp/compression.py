@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
 
-from .schema import Config
+from . import schema
 from .wire import K_MAX, Message, Verb, encoded_size, profile_faults
 
 #: Fixed per-message framing the theoretical encoder pays: the 64-bit
@@ -74,7 +74,7 @@ class DistEntry:
 
 
 @dataclass(frozen=True)
-class MessageDistribution(Config):
+class MessageDistribution(schema.Config):
     """A finite-support probability distribution over message shapes,
     its entries sorted by symbol."""
 
@@ -182,12 +182,8 @@ class EntropyReport:
         )
 
 
-def entropy(dist: MessageDistribution) -> EntropyReport:
-    """Chain-rule decomposition by direct summation (no sampling)."""
-    return _entropy(_contexts(dist))
-
-
 def _entropy(contexts: dict) -> EntropyReport:
+    """Chain-rule decomposition by direct summation (no sampling)."""
     h_v = _h(pv for pv, _ in contexts.values())
     h_o = h_p = 0.0
     for pv, profiles in contexts.values():
@@ -264,27 +260,14 @@ class BoundReport:
     expected_wire_bits: float     # actual byte-aligned format
     alignment_slack_bits: float   # wire - theoretical (can be negative
                                   # on degenerate distributions)
-    tables: int
+    tables: int = field(metadata={"json": "huffman_tables"})
 
     @property
     def ok(self) -> bool:
         return self.expected_total_bits <= self.bound_bits + 1e-6
 
     def to_json(self) -> dict:
-        return {
-            "entropy_bits": self.entropy_bits,
-            "fixed_framing_bits": self.fixed_framing_bits,
-            "index_bits": self.index_bits,
-            "expected_code_bits": self.expected_code_bits,
-            "expected_total_bits": self.expected_total_bits,
-            "bound_bits": self.bound_bits,
-            "bound_holds": self.ok,
-            "expected_option_count": self.expected_option_count,
-            "refined_index_bits": self.refined_index_bits,
-            "expected_wire_bits": self.expected_wire_bits,
-            "alignment_slack_bits": self.alignment_slack_bits,
-            "huffman_tables": self.tables,
-        }
+        return {**schema.to_json(self), "bound_holds": self.ok}
 
 
 def build_tables(

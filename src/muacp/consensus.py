@@ -664,7 +664,9 @@ class CampaignConfig(schema.Config):
         if not self.seeds:
             raise ValueError("a campaign needs at least one seed")
         for seed in self.seeds:
-            SimConfig.check_seed(seed)
+            self.check_seed(seed)
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must not repeat a seed")
         if self.crash_count < 0:
             raise ValueError("crash_count must not be negative")
         if not 0 <= self.crash_window[0] <= self.crash_window[1]:
@@ -677,11 +679,17 @@ class CampaignConfig(schema.Config):
             obj = dict(obj)
             start = schema.read(int, obj.pop("seed_base", 0), "seed_base")
             count = schema.read(int, obj.pop("seed_count", 1), "seed_count")
-            if count > MAX_SEEDS:
-                raise schema.ConfigError(
-                    f"seed_count: at most {MAX_SEEDS} seeds, got {count}")
-            obj["seeds"] = list(range(start, start + count))
+            obj["seeds"] = seed_range(start, count, "seed_count")
         return schema.from_json(cls, obj)
+
+
+def seed_range(start: int, count: int, source: str) -> list[int]:
+    """The `count` seeds from `start` up.  A count above MAX_SEEDS is a
+    ConfigError naming `source`, raised before its seeds are built."""
+    if count > MAX_SEEDS:
+        raise schema.ConfigError(
+            f"{source}: at most {MAX_SEEDS} seeds, got {count}")
+    return list(range(start, start + count))
 
 
 def derive_fault_schedule(
@@ -732,8 +740,8 @@ def run_campaign(
 ) -> tuple[list[CampaignRun], Counter]:
     """Run every seed.  Returns the runs plus (optionally) a corpus of
     message-shape counts harvested from every transmitted message.  The
-    runs keep their event logs only with `collect_corpus`, which reads
-    them."""
+    first run keeps its event log only with `collect_corpus`, which
+    reads every run's; no later run keeps one."""
     from .compression import symbol_of
 
     runs: list[CampaignRun] = []
@@ -747,9 +755,12 @@ def run_campaign(
             replace(cfg.base, sim=sim), events=collect_corpus)
         runs.append(CampaignRun(seed=seed, outcome=outcome))
         if collect_corpus:
-            for rec in outcome.log.records:
+            records = outcome.log.records
+            for rec in records:
                 if rec.kind == "send":
                     corpus[symbol_of(rec.message)] += 1
+            if len(runs) > 1:
+                records.clear()
     return runs, corpus
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import wire
-from .agent import Agent, BadContent
+from .agent import Agent, BadContent, done
 from .schema import Config, path_key
 from .simnet import BasicNode, Network, SimConfig
 from .wire import (
@@ -285,7 +285,7 @@ class ConversationAutomaton(Config):
             try:
                 translate(e, 0)
                 if e.performative is Performative.REQUEST:
-                    probe.make_tell(f"done({e.content})", response=True)
+                    probe._tell(done(e.content), None, response=True)
                 elif (e.performative is Performative.INFORM
                         and e.topic is not None):
                     probe.make_tell(e.content, topic=e.topic)
@@ -403,8 +403,11 @@ class TraceResult:
 class InclusionReport:
     protocol: str
     traces_checked: int
-    covered: int
     uncovered: list[TraceResult]
+
+    @property
+    def covered(self) -> int:
+        return self.traces_checked - len(self.uncovered)
 
     @property
     def ok(self) -> bool:
@@ -433,16 +436,7 @@ class _TraceRun:
             events=False,
         )
         self.conv_cid: dict[str, int] = {}
-        self.cid_conv: dict[int, str] = {}
         self._next_cid = 0x4000
-
-    def _cid_for(self, conversation: str) -> int:
-        if conversation not in self.conv_cid:
-            cid = self._next_cid
-            self._next_cid += 1
-            self.conv_cid[conversation] = cid
-            self.cid_conv[cid] = conversation
-        return self.conv_cid[conversation]
 
     def _settle(self) -> None:
         self.net.run_until_quiescent(self.net.now + self.QUIESCENT_BUDGET)
@@ -461,16 +455,14 @@ class _TraceRun:
             return ev.cid == self.conv_cid[conv]
         # First event of this conversation binds its cid, which must not
         # already belong to another conversation.
-        return ev.cid not in self.cid_conv
-
-    def _bind(self, ev: ProjectedEvent, action: PerformativeAction) -> None:
-        conv = action.conversation
-        if conv not in self.conv_cid:
-            self.conv_cid[conv] = ev.cid
-            self.cid_conv[ev.cid] = conv
+        return ev.cid not in self.conv_cid.values()
 
     def _inject(self, action: PerformativeAction) -> None:
-        cid = self._cid_for(action.conversation)
+        conv = action.conversation
+        if conv not in self.conv_cid:  # its first action: a fresh cid
+            self.conv_cid[conv] = self._next_cid
+            self._next_cid += 1
+        cid = self.conv_cid[conv]
         node = self.nodes[action.sender]
         to = self.role_ids[action.receiver]
         if (
@@ -507,7 +499,9 @@ class _TraceRun:
                         ),
                         semantic_events=len(self.observed),
                     )
-            self._bind(self.observed[idx], action)
+            # A conversation's first event binds it to its cid.
+            self.conv_cid.setdefault(action.conversation,
+                                     self.observed[idx].cid)
             pos = idx + 1
         self._settle()
         return TraceResult(
@@ -530,20 +524,9 @@ def check_trace_inclusion(
     """Execute every automaton trace up to max_len and verify each is
     realized by the translation plus the verb semantics."""
     traces = enumerate_traces(auto, max_len, cap)
-    uncovered: list[TraceResult] = []
-    covered = 0
-    for trace in traces:
-        result = _TraceRun(auto, translate_fn).execute(trace)
-        if result.covered:
-            covered += 1
-        else:
-            uncovered.append(result)
-    return InclusionReport(
-        protocol=auto.name,
-        traces_checked=len(traces),
-        covered=covered,
-        uncovered=uncovered,
-    )
+    results = [_TraceRun(auto, translate_fn).execute(t) for t in traces]
+    return InclusionReport(auto.name, len(traces),
+                           [r for r in results if not r.covered])
 
 
 @dataclass

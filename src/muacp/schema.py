@@ -156,7 +156,7 @@ def to_json(value) -> dict:
 
 
 class Config:
-    """Base of the config dataclasses: `to_json` and `from_json`."""
+    """Base of the config dataclasses: JSON both ways and the seed rule."""
 
     def to_json(self) -> dict:
         return to_json(self)
@@ -164,6 +164,13 @@ class Config:
     @classmethod
     def from_json(cls, obj):
         return from_json(cls, obj)
+
+    @staticmethod
+    def check_seed(seed: int) -> None:
+        """`random.Random(n)` seeds from `abs(n)`, so a negative seed
+        would silently repeat the run of its positive twin."""
+        if seed < 0:
+            raise ValueError(f"seed must not be negative, got {seed}")
 
 
 def load(path: str, cls):

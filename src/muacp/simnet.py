@@ -95,13 +95,6 @@ class SimConfig(Config):
         if self.max_consecutive_drops < 1:
             raise ValueError("max_consecutive_drops must be at least 1")
 
-    @staticmethod
-    def check_seed(seed: int) -> None:
-        """`random.Random(n)` seeds from `abs(n)`, so a negative seed
-        would silently repeat the run of its positive twin."""
-        if seed < 0:
-            raise ValueError(f"seed must not be negative, got {seed}")
-
 
 class EventRecord(NamedTuple):
     tick: int

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import wire
-from .agent import CT_LITERAL, Agent, Literal
+from .agent import CT_LITERAL, Agent, done
 from .schema import Config
 from .simnet import BasicNode, MetricsReport, Network, SimConfig
 from .wire import Message, Option, OptionType, U32_MAX, Verb
@@ -71,6 +71,7 @@ class ScaleConfig(Config):
     )
 
     def __post_init__(self) -> None:
+        self.check_seed(self.seed)
         for name in ("drain", "cnet_initiators", "committee",
                      "proposal_wait", "round_pause"):
             if getattr(self, name) < 0:
@@ -160,7 +161,10 @@ class ScaleNode(BasicNode):
         self.initiator = initiator
         self.rng = random.Random((cfg.seed << 20) ^ (agent.id * 2654435761))
         self.stop_at = cfg.until - cfg.drain
-        self.offset = (agent.id * 17) % cfg.rr_period
+        # The tick of this node's next ask, or None once that tick would
+        # fall at or past stop_at.
+        first = (agent.id * 17) % cfg.rr_period
+        self.next_ask = first if first < self.stop_at else None
 
         self.round: _Round | None = None
         self.round_counter = 0
@@ -171,10 +175,10 @@ class ScaleNode(BasicNode):
     # -- request/response ----------------------------------------------
 
     def _maybe_ask(self, net: Network, now: int) -> None:
-        if now >= self.stop_at or now < self.offset:
+        if now != self.next_ask:
             return
-        if (now - self.offset) % self.cfg.rr_period != 0:
-            return
+        after = now + self.cfg.rr_period
+        self.next_ask = after if after < self.stop_at else None
         # A uniform peer other than this node, in one draw: k skips our id.
         k = self.rng.randrange(self.cfg.n - 1)
         peer = k + (k >= self.id)
@@ -188,6 +192,13 @@ class ScaleNode(BasicNode):
             self.stats.started["request"] += 1
 
     # -- contract rounds --------------------------------------------------
+
+    def _frame(self, verb: Verb, code: bytes, cid: int,
+               payload: bytes) -> Message:
+        """A QoS-1 contract-net frame: procedure `code` of round `cid`."""
+        return self.agent.build(
+            verb, options=(Option(_PROC, code), wire.opt_cid(cid)),
+            payload=payload, qos=1)
 
     def _start_round(self, net: Network, now: int) -> None:
         self.round_counter += 1
@@ -210,17 +221,10 @@ class ScaleNode(BasicNode):
         # Each copy gets its own header correlation id so its QoS-1
         # retransmission is tracked independently; the CID option holds
         # the round id that groups the conversation.
+        payload = task.encode()
         for member in committee:
-            msg = self.agent.build(
-                _ASK,
-                options=(
-                    Option(_PROC, _PROC_CFP),
-                    wire.opt_cid(cid),
-                ),
-                payload=task.encode(),
-                qos=1,
-            )
-            self.emit(net, member, msg, now)
+            self.emit(net, member,
+                      self._frame(_ASK, _PROC_CFP, cid, payload), now)
 
     def _advance_round(self, net: Network, now: int) -> None:
         r = self.round
@@ -239,18 +243,11 @@ class ScaleNode(BasicNode):
                 return
             winner = min(r.proposals)
             r.awarded = winner
+            payload = r.task.encode()
             for member in sorted(r.proposals):
                 code = _PROC_ACCEPT if member == winner else _PROC_REJECT
-                msg = self.agent.build(
-                    _TELL,
-                    options=(
-                        Option(_PROC, code),
-                        wire.opt_cid(r.cid),
-                    ),
-                    payload=r.task.encode(),
-                    qos=1,
-                )
-                self.emit(net, member, msg, now)
+                self.emit(net, member,
+                          self._frame(_TELL, code, r.cid, payload), now)
 
     def _complete_round(self, now: int) -> None:
         self.stats.completed["negotiation"] += 1
@@ -264,9 +261,8 @@ class ScaleNode(BasicNode):
         tick and an initiator's next round step."""
         soon = now + 1
         at = super().next_wake(now)
-        ask = max(soon, self.offset)
-        ask += (self.offset - ask) % self.cfg.rr_period
-        if ask < self.stop_at and (at is None or ask < at):
+        ask = self.next_ask
+        if ask is not None and (at is None or ask < at):
             at = ask
         if self.initiator:
             step = self._round_wake(soon)
@@ -313,15 +309,12 @@ class ScaleNode(BasicNode):
         if proc is not None:
             self._on_proc(net, proc.value, msg, sender, now)
             return
-        if self.initiator and self.round is not None:
-            if (
-                msg.header.verb == _TELL
+        r = self.round
+        if (r is not None and sender == r.awarded
+                and msg.header.verb == _TELL
                 and msg.find(_CONTENT_TYPE) == CT_LITERAL
-                and msg.payload.decode("utf-8", "replace")
-                == f"done({self.round.task})"
-                and sender == self.round.awarded
-            ):
-                self._complete_round(now)
+                and msg.payload == done(r.task).text().encode()):
+            self._complete_round(now)
 
     def _on_proc(
         self, net: Network, code: bytes, msg: Message, sender: int, now: int
@@ -344,16 +337,8 @@ class ScaleNode(BasicNode):
             reply_code = _PROC_REFUSE if refuse else _PROC_PROPOSE
             # A refusal echoes the CFP's own bytes, which always fit.
             payload = msg.payload if refuse else f"bid({self.id})".encode()
-            reply = self.agent.build(
-                _TELL,
-                options=(
-                    Option(_PROC, reply_code),
-                    wire.opt_cid(conv),
-                ),
-                payload=payload,
-                qos=1,
-            )
-            self.emit(net, sender, reply, now)
+            self.emit(net, sender,
+                      self._frame(_TELL, reply_code, conv, payload), now)
             return
         if code in (_PROC_PROPOSE, _PROC_REFUSE):
             r = self.round
@@ -373,10 +358,10 @@ class ScaleNode(BasicNode):
             self.done_sent.add(key)
             task = msg.payload.decode("utf-8", "replace")
             try:
-                done = self.agent._tell(Literal(f"done({task})"), None, qos=1)
+                report = self.agent._tell(done(task), None, qos=1)
             except wire.WireError:
                 return  # a task too long to report on
-            self.emit(net, sender, done, now)
+            self.emit(net, sender, report, now)
             return
         # rejections need no action beyond the automatic acknowledgement
 

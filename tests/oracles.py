@@ -6,7 +6,13 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
-from muacp.compression import HuffmanTable, MessageDistribution
+from muacp.compression import (
+    EntropyReport,
+    HuffmanTable,
+    MessageDistribution,
+    _contexts,
+    _entropy,
+)
 from muacp.fipa import Performative, PerformativeAction, translate
 from muacp.wire import Message
 
@@ -18,6 +24,12 @@ def mutated_translate(action: PerformativeAction, cid: int) -> Message:
     if action.performative is Performative.REQUEST:
         action = replace(action, performative=Performative.INFORM)
     return translate(action, cid)
+
+
+def entropy(dist: MessageDistribution) -> EntropyReport:
+    """The chain-rule parts of a distribution's entropy, by the sum
+    `check_bound` reports only the total of."""
+    return _entropy(_contexts(dist))
 
 
 def joint_entropy(dist: MessageDistribution) -> float:

@@ -70,6 +70,14 @@ def test_bench_codec_outputs(tmp_path, capsys):
                    for line in printed.splitlines()), printed
 
 
+def test_bench_codec_refuses_a_negative_seed(tmp_path, capsys):
+    # random.Random(-5) seeds like Random(5): the pool would repeat seed 5's.
+    rc = main(["bench-codec", "--seed=-5", "--out", str(tmp_path / "o")])
+    _assert_usage_error(rc, capsys,
+                        "--seed: seed must not be negative, got -5")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("iterations", ["0", "-1"])
 def test_bench_codec_iterations_must_be_positive(tmp_path, capsys, iterations):
     rc = main(["bench-codec", "--iterations", iterations,
@@ -159,6 +167,16 @@ def test_check_traces_pass_and_fail(tmp_path):
     report = json.loads((tmp_path / "b" / "traces.json").read_text())
     assert report[0]["bound_ok"] is False
     assert "bound_failed" not in report[0]     # every run executed
+
+
+@pytest.mark.parametrize("max_len", ["0", "-3"])
+def test_check_traces_refuses_a_max_len_below_1(tmp_path, capsys, max_len):
+    # No trace is that short, so every protocol would pass vacuously.
+    rc = main(["check-traces", str(ROOT / "protocols" / "inform.json"),
+               f"--max-len={max_len}", "--out", str(tmp_path / "o")])
+    _assert_usage_error(rc, capsys,
+                        f"--max-len must be at least 1, got {max_len}")
+    assert not (tmp_path / "o").exists()
 
 
 def test_check_bound_over_fixtures(tmp_path):
@@ -317,6 +335,11 @@ CONSENSUS_REPROS = {
     "no_seeds": (_set("seed_count", 0), "a campaign needs at least one seed"),
     "negative_seed_base": (_set("seed_base", -1),
                            "seed must not be negative, got -1"),
+    "repeated_seed": (
+        lambda cfg: {**{k: v for k, v in cfg.items()
+                        if k not in ("seed_base", "seed_count")},
+                     "seeds": [4, 2, 4]},
+        "seeds must not repeat a seed"),
     "negative_sim_seed": (_set("base", "sim", "seed", -1),
                           "base.sim: seed must not be negative, got -1"),
     "short_fault_entry": (
@@ -380,6 +403,9 @@ def test_malformed_consensus_config_exits_2(tmp_path, capsys, case):
                    "round_pause", "drain")),
     pytest.param(_set("sim", "seed", -1),
                  "sim: seed must not be negative, got -1", id="sim.seed--1"),
+    # Node 0's RNG under seed -1 would be its RNG under seed 1.
+    pytest.param(_set("seed", -1), "seed must not be negative, got -1",
+                 id="seed--1"),
 ])
 def test_malformed_scale_config_exits_2(tmp_path, capsys, edit, expected):
     p = small_scale_config(tmp_path)
@@ -404,6 +430,14 @@ def test_a_negative_seed_exits_2(tmp_path, capsys, spec):
     rc = main(["sim-consensus", "--config", str(cfg), f"--seeds={spec}"])
     _assert_usage_error(rc, capsys,
                         "--seeds: seed must not be negative, got -1")
+
+
+@pytest.mark.parametrize("spec", ["1,1,1", "3,2,3"])
+def test_a_repeated_seed_exits_2(tmp_path, capsys, spec):
+    # A repeated seed reruns one run and reports it as several.
+    cfg = small_consensus_config(tmp_path)
+    rc = main(["sim-consensus", "--config", str(cfg), "--seeds", spec])
+    _assert_usage_error(rc, capsys, "--seeds: seeds must not repeat a seed")
 
 
 @pytest.mark.parametrize("where", ["--seeds", "seed_count"])

@@ -22,11 +22,10 @@ from muacp.compression import (
     MessageDistribution,
     build_tables,
     check_bound,
-    entropy,
     huffman,
     symbol_of,
 )
-from oracles import joint_entropy, kraft_sum
+from oracles import entropy, joint_entropy, kraft_sum
 
 V = wire.Verb
 
