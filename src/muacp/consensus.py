@@ -184,9 +184,6 @@ class FailureDetector:
         }
         self.history: list[SuspicionEvent] = []
 
-    def suspects(self, peer: int) -> bool:
-        return self.monitors[peer].suspected
-
     def step(self, now: int) -> list[int]:
         """Peers that need a fresh probe this tick.  The caller must
         follow up with note_ping for each."""
@@ -457,23 +454,27 @@ class Participant(BasicNode):
         if not super().on_deliver(net, label, now):
             return
         sender, _, msg = label
+        h = msg.header
+        if h.verb == _PING:
+            # Most deliveries are the detector's; `classify` takes only
+            # ASK and TELL, so a ping never reaches it.
+            if h.flags & FLAG_RESPONSE:
+                self.fd.on_pong(sender, now)
+            return
         c = classify(msg)
         if c is not None:
             self._send(
                 net, now, *step(self.config, self.state, sender, c, now),
             )
-        else:
-            h = msg.header
-            if h.verb == _PING and h.flags & FLAG_RESPONSE:
-                self.fd.on_pong(sender, now)
 
     def _leader(self) -> int:
-        live = [
-            p
-            for p in self.proposer_ids
-            if p == self.id or not self.fd.suspects(p)
-        ]
-        return live[0] if live else self.id
+        """The lowest proposer that is this node or not suspected; this
+        node when every other proposer is suspected."""
+        monitors = self.fd.monitors
+        for p in self.proposer_ids:
+            if p == self.id or not monitors[p].suspected:
+                return p
+        return self.id
 
     def _send(
         self, net: Network, now: int, state: NodeState, sent: Sent
@@ -548,14 +549,18 @@ class DecreeConfig(schema.Config):
         """Why `retry_timeout` may be too short to decide, or None.
 
         After stabilization each delay is 1..`sim.delta` ticks, so a round
-        trip takes at most `2 * sim.delta`; a shorter `retry_timeout` lets
-        an attempt restart before its slowest promises arrive.  Safety does
-        not depend on it, so the config stays valid."""
-        if self.retry_timeout >= 2 * self.sim.delta:
+        trip takes at most `2 * sim.delta`.  A node's `on_tick` runs before
+        the tick's deliveries, so a promise arriving at exactly the
+        deadline comes after its attempt has restarted: the timeout must
+        exceed the round trip.  Safety does not depend on it, so the
+        config stays valid."""
+        if self.retry_timeout > 2 * self.sim.delta:
             return None
-        return (f"retry_timeout {self.retry_timeout} is below 2 * sim.delta "
-                f"{self.sim.delta}, the worst-case post-stabilization round "
-                f"trip; an attempt may restart before its promises arrive")
+        return (f"retry_timeout {self.retry_timeout} is not above 2 * "
+                f"sim.delta {self.sim.delta}, the worst-case "
+                f"post-stabilization round trip; a node ticks before it "
+                f"takes the tick's deliveries, so an attempt may restart "
+                f"before its slowest promises arrive")
 
     def __post_init__(self) -> None:
         if self.n < 1:

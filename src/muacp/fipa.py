@@ -392,7 +392,6 @@ class _RecordingNode(BasicNode):
 
 @dataclass
 class TraceResult:
-    trace: tuple[Edge, ...]
     covered: bool
     failed_at: int | None = None
     reason: str | None = None
@@ -401,7 +400,6 @@ class TraceResult:
 
 @dataclass
 class InclusionReport:
-    protocol: str
     traces_checked: int
     uncovered: list[TraceResult]
 
@@ -489,7 +487,6 @@ class _TraceRun:
                 idx = self._find(pos, action)
                 if idx is None:
                     return TraceResult(
-                        trace,
                         covered=False,
                         failed_at=i,
                         reason=(
@@ -504,9 +501,7 @@ class _TraceRun:
                                      self.observed[idx].cid)
             pos = idx + 1
         self._settle()
-        return TraceResult(
-            trace, covered=True, semantic_events=len(self.observed)
-        )
+        return TraceResult(covered=True, semantic_events=len(self.observed))
 
     def _find(self, pos: int, action: PerformativeAction) -> int | None:
         for i in range(pos, len(self.observed)):
@@ -525,13 +520,11 @@ def check_trace_inclusion(
     realized by the translation plus the verb semantics."""
     traces = enumerate_traces(auto, max_len, cap)
     results = [_TraceRun(auto, translate_fn).execute(t) for t in traces]
-    return InclusionReport(auto.name, len(traces),
-                           [r for r in results if not r.covered])
+    return InclusionReport(len(traces), [r for r in results if not r.covered])
 
 
 @dataclass
 class ProceduralBoundReport:
-    protocol: str
     state_count: int
     runs_executed: int
     max_semantic_messages: int
@@ -551,7 +544,7 @@ def procedural_bound_check(
     has states.  The first run that fails to execute ends the check
     and is reported as `failed`."""
     k = len(auto.states)
-    report = ProceduralBoundReport(auto.name, k, 0, 0)
+    report = ProceduralBoundReport(k, 0, 0)
     for run in accepting_runs(auto, k, cap):
         result = _TraceRun(auto, translate).execute(run)
         if not result.covered:

@@ -12,7 +12,14 @@ Each tick proceeds in a fixed order: scheduled crashes, then on_tick of
 every live node due this tick in ascending id order, then every delivery
 due this tick in insertion order.  All randomness flows from one seeded
 generator, so a run is a pure function of (config, node behavior) and
-the event log is byte-identical across reruns.
+the event log is byte-identical across reruns.  Each transmission draws
+from it in a fixed order: before gst one `random()` for loss; then, for
+a copy not dropped, its delay; then one `random()` for a duplicate, and
+the duplicate's delay if there is one.  A delay is drawn as `randint`
+draws it: `getrandbits` of the range width's bit length, repeated until
+the value falls below the width.
+`tests/test_simnet.py::test_delay_draw_matches_randint` checks each
+draw, and the generator's state after them, against `randint` itself.
 
 Nodes are woken by deadline, not polled (Varghese and Lauck's timing
 wheels, with one slot per tick).  `next_wake(now)` names the earliest
@@ -54,7 +61,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .agent import Agent, Infeasible, TransitionLabel
@@ -204,23 +211,16 @@ class MetricsReport:
 
     def latency_summary(self) -> dict:
         hist = self.latencies
-        if not hist:
-            return {
-                "count": 0,
-                "median": None,
-                "p95": None,
-                "p99": None,
-                "max": None,
-            }
-        return {
-            "count": sum(hist.values()),
-            "median": nearest_rank(hist, 50),
-            "p95": nearest_rank(hist, 95),
-            "p99": nearest_rank(hist, 99),
-            "max": float(max(hist)),
-        }
+        values = (0, None, None, None, None)
+        if hist:
+            values = (sum(hist.values()), nearest_rank(hist, 50),
+                      nearest_rank(hist, 95), nearest_rank(hist, 99),
+                      float(max(hist)))
+        return dict(zip(("count", "median", "p95", "p99", "max"), values))
 
     def summary(self) -> dict:
+        """The report's int fields (its counters and gauge maxima) in
+        declaration order, then the latency summary in ticks and in ms."""
         lat = self.latency_summary()
         lat_ms = {
             k: (v * self.tick_ms if isinstance(v, float) else v)
@@ -228,14 +228,8 @@ class MetricsReport:
             if k != "count"
         }
         return {
-            "ticks": self.ticks,
-            "sends": self.sends,
-            "delivers": self.delivers,
-            "drops": self.drops,
-            "dups": self.dups,
-            "crashes": self.crashes,
-            "max_in_flight": self.max_in_flight,
-            "max_queue_depth": self.max_queue_depth,
+            **{f.name: getattr(self, f.name)
+               for f in fields(self) if f.type == "int"},
             "latency_ticks": lat,
             "latency_ms": lat_ms,
             "tick_ms": self.tick_ms,
@@ -383,10 +377,17 @@ class Network:
     ) -> None:
         cfg, now = self.config, self.now
         if synchronous:
-            delay = self.rng.randint(1, cfg.delta)
+            lo, width = 1, cfg.delta
         else:
-            delay = self.rng.randint(cfg.delay_min, cfg.delay_max)
-        self._queue.setdefault(now + delay, []).append((uid, label, now))
+            lo, width = cfg.delay_min, cfg.delay_max - cfg.delay_min + 1
+        # `randint(lo, lo + width - 1)` drawn as CPython's randrange draws
+        # it, without its three Python frames (see the module docstring).
+        getrandbits = self.rng.getrandbits
+        bits = width.bit_length()
+        offset = getrandbits(bits)
+        while offset >= width:
+            offset = getrandbits(bits)
+        self._queue.setdefault(now + lo + offset, []).append((uid, label, now))
         self._pending_total += 1
         r = label.receiver
         self._pending_per_receiver[r] = self._pending_per_receiver.get(r, 0) + 1

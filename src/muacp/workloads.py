@@ -134,6 +134,11 @@ class _Round:
     refusals: set[int] = field(default_factory=set)
     awarded: int | None = None
 
+    @property
+    def answered(self) -> bool:
+        """Every committee member has proposed or refused."""
+        return len(self.proposals) + len(self.refusals) >= len(self.committee)
+
 
 class ScaleNode(BasicNode):
     """Combined workload behavior: every node answers requests and
@@ -228,13 +233,12 @@ class ScaleNode(BasicNode):
 
     def _advance_round(self, net: Network, now: int) -> None:
         r = self.round
-        if r is None:
-            if self.initiator and self.next_round_at <= now < self.stop_at:
+        if r is None:  # only an initiator's on_tick gets here
+            if self.next_round_at <= now < self.stop_at:
                 self._start_round(net, now)
             return
         if r.awarded is None:
-            responded = len(r.proposals) + len(r.refusals)
-            if responded < len(r.committee) and now < r.deadline:
+            if not r.answered and now < r.deadline:
                 return
             if not r.proposals:
                 # Every member refused (or nothing arrived in time):
@@ -278,7 +282,7 @@ class ScaleNode(BasicNode):
             return at if at < self.stop_at else None
         if r.awarded is not None:
             return None  # only the winner's done report, a delivery, is left
-        if len(r.proposals) + len(r.refusals) >= len(r.committee):
+        if r.answered:
             return soon
         return max(soon, r.deadline)
 

@@ -308,11 +308,11 @@ def test_detector_suspects_silent_peer_and_restores_on_pong():
     for t in range(1, 10):
         assert fd.step(t) == []
     fd.step(10)
-    assert fd.suspects(1)
+    assert fd.monitors[1].suspected
     events = [(e.event, e.peer) for e in fd.history]
     assert events == [("suspect", 1)]
     fd.on_pong(1, now=12)
-    assert not fd.suspects(1)
+    assert not fd.monitors[1].suspected
     assert fd.monitors[1].timeout == 20      # doubled after wrong suspicion
     assert [(e.event,) for e in fd.history][-1] == ("restore",)
 
@@ -456,7 +456,8 @@ def test_decree_with_crashes_and_duplicates_is_unchanged(node_class):
 
 
 @pytest.mark.parametrize("retry, delta, warns", [
-    (9, 5, True), (10, 5, False), (30, 5, False), (1, 1, True), (2, 1, False)])
+    (9, 5, True), (10, 5, True), (11, 5, False), (30, 5, False),
+    (1, 1, True), (2, 1, True), (3, 1, False)])
 def test_retry_warning_marks_a_timeout_below_the_worst_round_trip(
         retry, delta, warns):
     cfg = DecreeConfig(retry_timeout=retry,
@@ -467,6 +468,21 @@ def test_retry_warning_marks_a_timeout_below_the_worst_round_trip(
         assert f"sim.delta {delta}," in note
     else:
         assert note is None
+
+
+def test_a_retry_timeout_of_exactly_the_round_trip_never_decides():
+    # delta 1 makes every round trip take exactly 2 ticks: a promise due
+    # at the retry deadline lands after on_tick restarted the attempt.
+    def decided(retry):
+        cfg = DecreeConfig(n=5, retry_timeout=retry, until=300)
+        return [run_decree(replace(cfg, sim=lossless_sim(seed)))
+                .all_survivors_decided for seed in range(3)]
+
+    assert DecreeConfig(retry_timeout=2, sim=lossless_sim()).retry_warning()
+    assert decided(2) == [False, False, False]
+    assert DecreeConfig(retry_timeout=3,
+                        sim=lossless_sim()).retry_warning() is None
+    assert decided(3) == [True, True, True]
 
 
 def test_campaign_config_seed_range_form():

@@ -3,6 +3,7 @@ deadline wake-ups."""
 
 import hashlib
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -109,6 +110,38 @@ def test_pre_gst_delay_within_configured_window():
     delays = [d for ds in _delays(net).values() for d in ds]
     assert delays and all(2 <= d <= 7 for d in delays)
     assert min(delays) >= 1  # delivery is never same-tick
+
+
+#: (delay_min, delay_max) per width: pre-gst copies draw from the range,
+#: post-gst ones from 1..delta with delta set to the same width.
+_WINDOWS = {1: (3, 3), 2: (1, 2), 5: (2, 6), 10: (1, 10), 16: (5, 20)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 4242])
+@pytest.mark.parametrize("width", sorted(_WINDOWS))
+def test_delay_draw_matches_randint(seed, width):
+    # The network draws each delay without calling randint; every
+    # seeded output depends on it taking the same bits and values.
+    lo, hi = _WINDOWS[width]
+    cfg = SimConfig(seed=seed, gst=20, delta=width, delay_min=lo,
+                    delay_max=hi, drop_rate=0.3, dup_rate=0.4)
+    net = Network(cfg, [BasicNode(Agent(i)) for i in range(2)])
+    a = net.nodes[0].agent
+    ref = random.Random(seed)
+    for now in range(40):
+        net.now = now
+        net._queue.clear()
+        net.transmit(a.send(a.make_tell(f"x({now})"), to=1, now=now))
+        drawn = [due - now for due, q in net._queue.items() for _ in q]
+        sync = now >= cfg.gst
+        window = (1, cfg.delta) if sync else (lo, hi)
+        expected = []
+        if sync or ref.random() >= cfg.drop_rate:
+            expected.append(ref.randint(*window))
+        if ref.random() < cfg.dup_rate:
+            expected.append(ref.randint(*window))
+        assert drawn == expected, now
+    assert net.rng.random() == ref.random()
 
 
 # -- loss and fair loss ---------------------------------------------------------
